@@ -77,9 +77,9 @@ class Preorder:
                     raise ValueError(f"relation is not transitive at ({a!r}, {b!r})")
 
     def _require(self, *ids: str) -> None:
-        declared = set(self.elements)
+        # The relation is reflexive, so it holds (x, x) exactly for declared x.
         for x in ids:
-            if x not in declared:
+            if (x, x) not in self.relation:
                 raise UnknownElement(f"unknown element {x!r}")
 
     def at_least(self, a: str, b: str) -> bool:

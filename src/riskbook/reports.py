@@ -13,14 +13,7 @@ from dataclasses import dataclass
 
 from .preorder import Verdict, build_preorder
 from .risk import CUSTOM, spot_check_monotonicity
-from .riskaware import (
-    Instance,
-    TradeoffWitness,
-    comparison_matrix,
-    risk_of,
-    tradeoff_witnesses,
-)
-from .rulebook import at_most_as_bad
+from .riskaware import Instance, TradeoffWitness, _Evaluation
 from .tolerance import TOL, le, lt
 
 _CHECK_OK = "ok"
@@ -62,52 +55,49 @@ class RankingReport:
     explanations: tuple[TradeoffExplanation, ...]
 
 
-def _assessments(instance: Instance) -> tuple[TrajectoryAssessment, ...]:
+def _tradeoffs(ev: _Evaluation, winner: int, challenger: int) -> list[TradeoffExplanation]:
+    """Witnessed improvements of ``challenger`` over the optimal ``winner``, in rule order."""
+    mine, theirs = ev.profile(winner), ev.profile(challenger)
     out = []
-    for trajectory in instance.trajectories:
-        risks: dict[str, float] = {}
-        excesses: dict[str, float] = {}
-        for rule_id in instance.rulebook.rule_ids:
-            risk = risk_of(instance, rule_id, trajectory)
-            risks[rule_id] = risk
-            excesses[rule_id] = max(risk - instance.risk_configs[rule_id].threshold, 0.0)
-        safe = all(le(v, 0.0) for v in excesses.values())
-        out.append(TrajectoryAssessment(trajectory, risks, excesses, safe))
-    return tuple(out)
+    for r, rule_id in enumerate(ev.rule_ids):
+        if lt(theirs[rule_id], mine[rule_id]):
+            witnesses = tuple(ev.witnesses(winner, challenger, r))
+            if witnesses:
+                out.append(
+                    TradeoffExplanation(ev.trajectories[winner], ev.trajectories[challenger], rule_id, witnesses)
+                )
+    return out
 
 
 def run_rank(instance: Instance) -> RankingReport:
     """Full evaluation: per-rule risks, pairwise verdicts, safety, optimality,
-    and a tradeoff justification for every optimal trajectory."""
-    assessments = _assessments(instance)
-    profiles = {a.trajectory: a.excesses for a in assessments}
-    matrix = comparison_matrix(instance, profiles)
-    safe = tuple(a.trajectory for a in assessments if a.safe)
-    optimal = tuple(
-        t
-        for t in instance.trajectories
-        if not any(matrix[(o, t)] is Verdict.LOWER for o in instance.trajectories)
-    )
+    and a tradeoff justification for every optimal trajectory.
 
-    explanations = []
-    for winner in optimal:
-        for challenger in instance.trajectories:
-            if challenger == winner:
-                continue
-            for rule_id in instance.rulebook.rule_ids:
-                if lt(profiles[challenger][rule_id], profiles[winner][rule_id]):
-                    witnesses = tuple(tradeoff_witnesses(instance, winner, challenger, rule_id))
-                    if witnesses:
-                        explanations.append(
-                            TradeoffExplanation(winner, challenger, rule_id, witnesses)
-                        )
+    Every figure comes from one evaluation of the instance: each
+    (rule, trajectory) induced cost is built and assessed once, and each
+    (optimal, challenger) pair is scanned for witnesses once, whatever the
+    number of rules it improves on.
+    """
+    ev = _Evaluation(instance)
+    trajectories = range(len(ev.trajectories))
+    optimal = ev.optimal()
     return RankingReport(
-        rule_ids=instance.rulebook.rule_ids,
-        assessments=assessments,
-        matrix=matrix,
-        safe=safe,
-        optimal=optimal,
-        explanations=tuple(explanations),
+        rule_ids=ev.rule_ids,
+        assessments=tuple(
+            TrajectoryAssessment(
+                ev.trajectories[t],
+                {rule_id: ev.risk(r, t) for r, rule_id in enumerate(ev.rule_ids)},
+                ev.profile(t),
+                ev.safe(t),
+            )
+            for t in trajectories
+        ),
+        matrix=ev.matrix(),
+        safe=tuple(ev.trajectories[t] for t in trajectories if ev.safe(t)),
+        optimal=tuple(ev.trajectories[t] for t in optimal),
+        explanations=tuple(
+            e for w in optimal for c in trajectories if c != w for e in _tradeoffs(ev, w, c)
+        ),
     )
 
 
@@ -130,12 +120,13 @@ class RiskTable:
 def run_risk_table(instance: Instance, rule_id: str) -> RiskTable:
     """Risk of every trajectory with respect to one rule."""
     config = instance.config(rule_id)
-    rows = []
-    for trajectory in instance.trajectories:
-        risk = risk_of(instance, rule_id, trajectory)
-        excess = max(risk - config.threshold, 0.0)
-        rows.append(RiskTableRow(trajectory, risk, excess, le(excess, 0.0)))
-    return RiskTable(rule_id, config.measure.describe(), config.threshold, tuple(rows))
+    ev = _Evaluation(instance)
+    r = ev.rule_index(rule_id)
+    rows = tuple(
+        RiskTableRow(trajectory, ev.risk(r, t), ev.excess(r, t), le(ev.excess(r, t), 0.0))
+        for t, trajectory in enumerate(ev.trajectories)
+    )
+    return RiskTable(rule_id, config.measure.describe(), config.threshold, rows)
 
 
 @dataclass(frozen=True)
@@ -182,35 +173,19 @@ def run_explain(instance: Instance, first: str, second: str) -> Explanation:
     the positive-probability witnesses behind each improvement the other
     side shows against it.
     """
-    instance.require_trajectory(first)
-    instance.require_trajectory(second)
-    assessments = {a.trajectory: a for a in _assessments(instance)}
-    profiles = {t: assessments[t].excesses for t in instance.trajectories}
-    matrix = comparison_matrix(instance, profiles)
-    optimal = [
-        t
-        for t in instance.trajectories
-        if not any(matrix[(o, t)] is Verdict.LOWER for o in instance.trajectories)
-    ]
-
-    tradeoffs = []
-    for winner, challenger in ((first, second), (second, first)):
-        if winner not in optimal:
-            continue
-        for rule_id in instance.rulebook.rule_ids:
-            if lt(profiles[challenger][rule_id], profiles[winner][rule_id]):
-                witnesses = tuple(tradeoff_witnesses(instance, winner, challenger, rule_id))
-                if witnesses:
-                    tradeoffs.append(TradeoffExplanation(winner, challenger, rule_id, witnesses))
-
+    ev = _Evaluation(instance)
+    a, b = ev.trajectory_index(first), ev.trajectory_index(second)
+    optimal = ev.optimal()
     return Explanation(
         first=first,
         second=second,
-        verdict=matrix[(first, second)],
-        excesses={t: profiles[t] for t in (first, second)},
-        first_worse=_disadvantages(instance, profiles[first], profiles[second]),
-        second_worse=_disadvantages(instance, profiles[second], profiles[first]),
-        tradeoffs=tuple(tradeoffs),
+        verdict=ev.verdict(a, b),
+        excesses={first: ev.profile(a), second: ev.profile(b)},
+        first_worse=_disadvantages(instance, ev.profile(a), ev.profile(b)),
+        second_worse=_disadvantages(instance, ev.profile(b), ev.profile(a)),
+        tradeoffs=tuple(
+            e for w, c in ((a, b), (b, a)) if w in optimal for e in _tradeoffs(ev, w, c)
+        ),
     )
 
 
@@ -286,19 +261,11 @@ def run_check(instance: Instance) -> CheckReport:
         )
     )
 
-    matrix = comparison_matrix(instance)
-    reflexive = all(matrix[(t, t)] is Verdict.EQUAL for t in instance.trajectories)
-    leq = {
-        (a, b): matrix[(a, b)] in (Verdict.LOWER, Verdict.EQUAL)
-        for a in instance.trajectories
-        for b in instance.trajectories
-    }
-    transitive = all(
-        not (leq[(a, b)] and leq[(b, c)]) or leq[(a, c)]
-        for a in instance.trajectories
-        for b in instance.trajectories
-        for c in instance.trajectories
-    )
+    ev = _Evaluation(instance)
+    n = range(len(instance.trajectories))
+    leq = [[ev.at_most_as_risky(a, b) for b in n] for a in n]
+    reflexive = all(leq[t][t] for t in n)
+    transitive = all(not (leq[a][b] and leq[b][c]) or leq[a][c] for a in n for b in n for c in n)
     results.append(
         CheckResult(
             "trajectory-preorder",
@@ -450,6 +417,15 @@ def render_risk_table(table: RiskTable, as_json: bool = False) -> str:
     return head + "\n" + body + "\n"
 
 
+def _disadvantage_to_json(d: RuleDisadvantage) -> dict:
+    return {
+        "rule": d.rule_id,
+        "excess": d.value,
+        "other_excess": d.other_value,
+        "compensated_by": list(d.compensators),
+    }
+
+
 def render_explanation(explanation: Explanation, as_json: bool = False) -> str:
     first, second = explanation.first, explanation.second
     if as_json:
@@ -459,24 +435,8 @@ def render_explanation(explanation: Explanation, as_json: bool = False) -> str:
                 "second": second,
                 "verdict": explanation.verdict.value,
                 "excesses": explanation.excesses,
-                "first_worse": [
-                    {
-                        "rule": d.rule_id,
-                        "excess": d.value,
-                        "other_excess": d.other_value,
-                        "compensated_by": list(d.compensators),
-                    }
-                    for d in explanation.first_worse
-                ],
-                "second_worse": [
-                    {
-                        "rule": d.rule_id,
-                        "excess": d.value,
-                        "other_excess": d.other_value,
-                        "compensated_by": list(d.compensators),
-                    }
-                    for d in explanation.second_worse
-                ],
+                "first_worse": [_disadvantage_to_json(d) for d in explanation.first_worse],
+                "second_worse": [_disadvantage_to_json(d) for d in explanation.second_worse],
                 "tradeoffs": _explanations_to_json(explanation.tradeoffs),
             },
             indent=2,

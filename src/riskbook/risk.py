@@ -4,10 +4,14 @@ Four built-in measures are provided: expected cost, worst case, the
 ``alpha``-quantile (VaR), and the tail expectation beyond it (CVaR).  All
 four are monotone: pointwise-dominated costs never assess as riskier.  CVaR
 is evaluated exactly by minimizing ``beta + E[(f - beta)^+] / (1 - alpha)``
-over the support points of ``f``; the objective is piecewise linear in
-``beta`` with kinks only at support values, so the minimum is attained
-there.  A user-supplied callable can serve as a custom measure, in which
-case only spot checks of monotonicity are possible.
+over the support points of ``f`` (Rockafellar & Uryasev, 2000); the
+objective is piecewise linear in ``beta`` with kinks only at support values,
+so the minimum is attained there.  One pass over suffix sums of ``p`` and
+``p * v`` gives the objective at every support point in linear time; the
+points whose sum lies within rounding of the minimum are then re-evaluated
+term by term, so the result does not depend on how the sums rounded.  A
+user-supplied callable can serve as a custom measure, in which case only
+spot checks of monotonicity are possible.
 """
 
 from __future__ import annotations
@@ -112,7 +116,17 @@ def _cvar(atoms: list[tuple[float, float]], alpha: float) -> float:
         shortfall = sum(p * (v - beta) for v, p in atoms if v > beta)
         return beta + scale * shortfall
 
-    return min(objective(v) for v, _ in atoms)
+    # Atoms ascend strictly, so the atoms above v are exactly the later ones.
+    approx = []
+    tail_p = tail_pv = 0.0
+    for v, p in reversed(atoms):
+        approx.append(v + scale * (tail_pv - v * tail_p))
+        tail_p += p
+        tail_pv += p * v
+    approx.reverse()
+    best = min(approx)
+    window = 1e-9 * max(1.0, abs(best))
+    return min(objective(v) for (v, _), a in zip(atoms, approx) if a - best <= window)
 
 
 def assess(measure: RiskMeasure, space: FiniteProbSpace, f: RandomCost) -> float:

@@ -19,13 +19,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import wraps
 from typing import Mapping
 
 from .errors import (
     AssumptionUnmet,
     NoWitness,
     PreconditionViolated,
-    UnknownRule,
     UnknownScenario,
     UnknownTrajectory,
     ValidationError,
@@ -129,8 +129,7 @@ class Instance:
             raise UnknownTrajectory(f"unknown system trajectory {trajectory!r}")
 
     def require_rule(self, rule_id: str) -> None:
-        if rule_id not in self.rulebook.rule_ids:
-            raise UnknownRule(f"unknown rule {rule_id!r}")
+        self.rulebook.rule(rule_id)
 
     def require_scenario(self, scenario: str) -> None:
         if scenario not in self.space.scenarios:
@@ -143,9 +142,8 @@ class Instance:
 
 def induced_random_cost(instance: Instance, rule_id: str, trajectory: str) -> RandomCost:
     """Scenario-indexed violation of ``rule_id`` when ``trajectory`` is driven."""
-    instance.require_rule(rule_id)
-    instance.require_trajectory(trajectory)
     rule = instance.rulebook.rule(rule_id)
+    instance.require_trajectory(trajectory)
     return RandomCost(
         {
             omega: rule.violation(Realization(trajectory, instance.interaction.response(trajectory, omega)))
@@ -154,16 +152,120 @@ def induced_random_cost(instance: Instance, rule_id: str, trajectory: str) -> Ra
     )
 
 
+def _once(method):
+    """Memoize an :class:`_Evaluation` method by its arguments, per evaluation."""
+
+    @wraps(method)
+    def memoized(self, *args):
+        key = (method, args)
+        if key not in self._memo:
+            self._memo[key] = method(self, *args)
+        return self._memo[key]
+
+    return memoized
+
+
+class _Evaluation:
+    """Every figure one call derives from an instance, each computed once.
+
+    Rules and trajectories are addressed by declaration index.  Figures are
+    computed on first use: a question about two trajectories builds and
+    assesses only their induced costs, while a matrix or an optimal set
+    assesses every (rule, trajectory) pair once.  An evaluation serves one
+    top-level call and is never kept on the instance, whose tables are still
+    the caller's dicts.
+    """
+
+    def __init__(self, instance: Instance) -> None:
+        self.instance = instance
+        self.rule_ids = instance.rulebook.rule_ids
+        self.trajectories = instance.trajectories
+        self._memo: dict = {}
+
+    def rule_index(self, rule_id: str) -> int:
+        self.instance.require_rule(rule_id)
+        return self.rule_ids.index(rule_id)
+
+    def trajectory_index(self, trajectory: str) -> int:
+        self.instance.require_trajectory(trajectory)
+        return self.trajectories.index(trajectory)
+
+    @_once
+    def cost(self, r: int, t: int) -> RandomCost:
+        return induced_random_cost(self.instance, self.rule_ids[r], self.trajectories[t])
+
+    @_once
+    def risk(self, r: int, t: int) -> float:
+        measure = self.instance.risk_configs[self.rule_ids[r]].measure
+        return assess(measure, self.instance.space, self.cost(r, t))
+
+    def excess(self, r: int, t: int) -> float:
+        return max(self.risk(r, t) - self.instance.risk_configs[self.rule_ids[r]].threshold, 0.0)
+
+    @_once
+    def profile(self, t: int) -> dict[str, float]:
+        return {rule_id: self.excess(r, t) for r, rule_id in enumerate(self.rule_ids)}
+
+    def safe(self, t: int) -> bool:
+        return all(le(self.excess(r, t), 0.0) for r in range(len(self.rule_ids)))
+
+    @_once
+    def at_most_as_risky(self, a: int, b: int) -> bool:
+        return at_most_as_bad(self.instance.rulebook.priority, self.profile(a), self.profile(b))
+
+    def verdict(self, a: int, b: int) -> Verdict:
+        """``LOWER`` when ``a`` is strictly less risky than ``b``."""
+        return Verdict.from_directions(
+            forward=self.at_most_as_risky(b, a), backward=self.at_most_as_risky(a, b)
+        )
+
+    def matrix(self) -> dict[tuple[str, str], Verdict]:
+        n = range(len(self.trajectories))
+        return {(self.trajectories[a], self.trajectories[b]): self.verdict(a, b) for a in n for b in n}
+
+    @_once
+    def optimal(self) -> list[int]:
+        n = range(len(self.trajectories))
+        return [t for t in n if not any(self.verdict(o, t) is Verdict.LOWER for o in n)]
+
+    @_once
+    def _compensating(self, w: int, c: int) -> list[tuple[int, tuple[str, ...], float]]:
+        """Every rule that penalizes challenger ``c`` more than ``w`` on a
+        positive-probability scenario set, with that set and its probability.
+        One scan per pair serves every improving rule."""
+        scenario_ids, probs = self.instance.space.scenarios, self.instance.space.probs
+        found = []
+        for r in range(len(self.rule_ids)):
+            cost_c, cost_w = self.cost(r, c).values, self.cost(r, w).values
+            scenarios = tuple(
+                omega for omega in scenario_ids if probs[omega] > 0 and gt(cost_c[omega], cost_w[omega])
+            )
+            if scenarios:
+                found.append((r, scenarios, sum(probs[omega] for omega in scenarios)))
+        return found
+
+    def witnesses(self, w: int, c: int, improving: int) -> list[TradeoffWitness]:
+        """The compensations of ``c``'s improvement on ``w`` under rule
+        ``improving`` by rules not strictly lower in priority, in declaration order."""
+        priority = self.instance.rulebook.priority
+        improving_rule = self.rule_ids[improving]
+        return [
+            TradeoffWitness(improving_rule, self.rule_ids[r], scenarios, probability)
+            for r, scenarios, probability in self._compensating(w, c)
+            if priority.compare(self.rule_ids[r], improving_rule) is not Verdict.LOWER
+        ]
+
+
 def risk_of(instance: Instance, rule_id: str, trajectory: str) -> float:
     """Assessed risk of the induced cost under the rule's configured measure."""
-    config = instance.config(rule_id)
-    return assess(config.measure, instance.space, induced_random_cost(instance, rule_id, trajectory))
+    ev = _Evaluation(instance)
+    return ev.risk(ev.rule_index(rule_id), ev.trajectory_index(trajectory))
 
 
 def risk_aware_violation(instance: Instance, rule_id: str, trajectory: str) -> float:
     """Excess of the rule's risk over its threshold, floored at zero."""
-    config = instance.config(rule_id)
-    return max(risk_of(instance, rule_id, trajectory) - config.threshold, 0.0)
+    ev = _Evaluation(instance)
+    return ev.excess(ev.rule_index(rule_id), ev.trajectory_index(trajectory))
 
 
 def is_safe_wrt_rule(instance: Instance, rule_id: str, trajectory: str) -> bool:
@@ -173,39 +275,27 @@ def is_safe_wrt_rule(instance: Instance, rule_id: str, trajectory: str) -> bool:
 
 def is_safe(instance: Instance, trajectory: str) -> bool:
     """Whether the trajectory is within threshold for every rule."""
-    instance.require_trajectory(trajectory)
-    return all(is_safe_wrt_rule(instance, rule_id, trajectory) for rule_id in instance.rulebook.rule_ids)
+    ev = _Evaluation(instance)
+    return ev.safe(ev.trajectory_index(trajectory))
 
 
 def safe_set(instance: Instance) -> list[str]:
     """All safe trajectories, in declaration order."""
-    return [t for t in instance.trajectories if is_safe(instance, t)]
+    ev = _Evaluation(instance)
+    return [t for i, t in enumerate(ev.trajectories) if ev.safe(i)]
 
 
 def risk_aware_profile(instance: Instance, trajectory: str) -> dict[str, float]:
     """Excess-risk value for every rule, keyed by rule id."""
-    instance.require_trajectory(trajectory)
-    return {
-        rule_id: risk_aware_violation(instance, rule_id, trajectory)
-        for rule_id in instance.rulebook.rule_ids
-    }
-
-
-def _profiles(instance: Instance) -> dict[str, dict[str, float]]:
-    # One pass over (rule, trajectory); every pairwise comparison reuses it.
-    return {t: risk_aware_profile(instance, t) for t in instance.trajectories}
+    ev = _Evaluation(instance)
+    return ev.profile(ev.trajectory_index(trajectory))
 
 
 def no_riskier_than(instance: Instance, trajectory: str, other: str) -> bool:
     """One direction of the trajectory preorder: ``trajectory`` is at most as
     risky as ``other``."""
-    instance.require_trajectory(trajectory)
-    instance.require_trajectory(other)
-    return at_most_as_bad(
-        instance.rulebook.priority,
-        risk_aware_profile(instance, trajectory),
-        risk_aware_profile(instance, other),
-    )
+    ev = _Evaluation(instance)
+    return ev.at_most_as_risky(ev.trajectory_index(trajectory), ev.trajectory_index(other))
 
 
 def compare_trajectories(instance: Instance, trajectory: str, other: str) -> Verdict:
@@ -213,14 +303,8 @@ def compare_trajectories(instance: Instance, trajectory: str, other: str) -> Ver
 
     ``LOWER`` means the first trajectory is strictly less risky.
     """
-    instance.require_trajectory(trajectory)
-    instance.require_trajectory(other)
-    pa = risk_aware_profile(instance, trajectory)
-    pb = risk_aware_profile(instance, other)
-    priority = instance.rulebook.priority
-    a_at_most_b = at_most_as_bad(priority, pa, pb)
-    b_at_most_a = at_most_as_bad(priority, pb, pa)
-    return Verdict.from_directions(forward=b_at_most_a, backward=a_at_most_b)
+    ev = _Evaluation(instance)
+    return ev.verdict(ev.trajectory_index(trajectory), ev.trajectory_index(other))
 
 
 def compare_given_scenario(instance: Instance, trajectory: str, other: str, scenario: str) -> Verdict:
@@ -237,38 +321,16 @@ def compare_given_scenario(instance: Instance, trajectory: str, other: str, scen
     return compare_realizations(instance.rulebook, x, y)
 
 
-def comparison_matrix(
-    instance: Instance,
-    profiles: Mapping[str, Mapping[str, float]] | None = None,
-) -> dict[tuple[str, str], Verdict]:
-    """Pairwise trajectory verdicts, computed from one shared profile pass.
-
-    ``profiles`` may carry already-computed excess-risk profiles to avoid
-    reassessing them; the result is identical either way.
-    """
-    if profiles is None:
-        profiles = _profiles(instance)
-    priority = instance.rulebook.priority
-    leq = {
-        (a, b): at_most_as_bad(priority, profiles[a], profiles[b])
-        for a in instance.trajectories
-        for b in instance.trajectories
-    }
-    return {
-        (a, b): Verdict.from_directions(forward=leq[(b, a)], backward=leq[(a, b)])
-        for a in instance.trajectories
-        for b in instance.trajectories
-    }
+def comparison_matrix(instance: Instance) -> dict[tuple[str, str], Verdict]:
+    """Verdict of every ordered pair of trajectories, as :func:`compare_trajectories`
+    gives it, with every (rule, trajectory) pair assessed once."""
+    return _Evaluation(instance).matrix()
 
 
 def optimal_set(instance: Instance) -> list[str]:
     """Trajectories with no strictly less risky competitor, in declaration order."""
-    matrix = comparison_matrix(instance)
-    return [
-        t
-        for t in instance.trajectories
-        if not any(matrix[(o, t)] is Verdict.LOWER for o in instance.trajectories)
-    ]
+    ev = _Evaluation(instance)
+    return [ev.trajectories[t] for t in ev.optimal()]
 
 
 @dataclass(frozen=True)
@@ -287,44 +349,6 @@ class TradeoffWitness:
     witness_probability: float
 
 
-def _witness_scan(
-    instance: Instance,
-    optimal_trajectory: str,
-    challenger: str,
-    improving_rule: str,
-) -> list[TradeoffWitness]:
-    priority = instance.rulebook.priority
-    found = []
-    for rule_id in instance.rulebook.rule_ids:
-        if priority.compare(rule_id, improving_rule) is Verdict.LOWER:
-            continue
-        cost_challenger = induced_random_cost(instance, rule_id, challenger)
-        cost_optimal = induced_random_cost(instance, rule_id, optimal_trajectory)
-        scenarios = tuple(
-            omega
-            for omega in instance.space.scenarios
-            if instance.space.probs[omega] > 0
-            and gt(cost_challenger.values[omega], cost_optimal.values[omega])
-        )
-        if scenarios:
-            probability = sum(instance.space.probs[omega] for omega in scenarios)
-            found.append(TradeoffWitness(improving_rule, rule_id, scenarios, probability))
-    return found
-
-
-def _check_improvement(instance: Instance, optimal_trajectory: str, challenger: str, improving_rule: str) -> None:
-    instance.require_rule(improving_rule)
-    instance.require_trajectory(optimal_trajectory)
-    instance.require_trajectory(challenger)
-    v_challenger = risk_aware_violation(instance, improving_rule, challenger)
-    v_optimal = risk_aware_violation(instance, improving_rule, optimal_trajectory)
-    if not lt(v_challenger, v_optimal):
-        raise PreconditionViolated(
-            f"trajectory {challenger!r} does not strictly improve on {optimal_trajectory!r} "
-            f"under rule {improving_rule!r} ({v_challenger!r} vs {v_optimal!r})"
-        )
-
-
 def tradeoff_witness(
     instance: Instance,
     optimal_trajectory: str,
@@ -339,8 +363,7 @@ def tradeoff_witness(
     always exists; :class:`NoWitness` therefore signals that one of those
     hypotheses fails.
     """
-    _check_improvement(instance, optimal_trajectory, challenger, improving_rule)
-    found = _witness_scan(instance, optimal_trajectory, challenger, improving_rule)
+    found = tradeoff_witnesses(instance, optimal_trajectory, challenger, improving_rule)
     if not found:
         raise NoWitness(
             f"no compensating rule found for {challenger!r} improving on {optimal_trajectory!r} "
@@ -357,8 +380,18 @@ def tradeoff_witnesses(
     improving_rule: str,
 ) -> list[TradeoffWitness]:
     """Every compensating rule with its scenario set, in declaration order."""
-    _check_improvement(instance, optimal_trajectory, challenger, improving_rule)
-    return _witness_scan(instance, optimal_trajectory, challenger, improving_rule)
+    ev = _Evaluation(instance)
+    r = ev.rule_index(improving_rule)
+    w = ev.trajectory_index(optimal_trajectory)
+    c = ev.trajectory_index(challenger)
+    v_challenger = ev.excess(r, c)
+    v_optimal = ev.excess(r, w)
+    if not lt(v_challenger, v_optimal):
+        raise PreconditionViolated(
+            f"trajectory {challenger!r} does not strictly improve on {optimal_trajectory!r} "
+            f"under rule {improving_rule!r} ({v_challenger!r} vs {v_optimal!r})"
+        )
+    return ev.witnesses(w, c, r)
 
 
 class PointwiseCase(Enum):
@@ -404,9 +437,10 @@ def pointwise_case(
     within the rule's threshold; or a not-lower-priority rule penalizes the
     challenger more with positive probability.
     """
-    instance.require_rule(rule_id)
-    instance.require_trajectory(optimal_trajectory)
-    instance.require_trajectory(challenger)
+    ev = _Evaluation(instance)
+    r = ev.rule_index(rule_id)
+    w = ev.trajectory_index(optimal_trajectory)
+    c = ev.trajectory_index(challenger)
     instance.require_scenario(scenario)
 
     for other_rule in instance.rulebook.rule_ids:
@@ -417,14 +451,14 @@ def pointwise_case(
                 f"strictly monotone class; the pointwise analysis is unsound without it"
             )
 
-    cost_challenger = induced_random_cost(instance, rule_id, challenger)
-    cost_optimal = induced_random_cost(instance, rule_id, optimal_trajectory)
+    cost_challenger = ev.cost(r, c)
+    cost_optimal = ev.cost(r, w)
     if not lt(cost_challenger.values[scenario], cost_optimal.values[scenario]):
         raise PreconditionViolated(
             f"trajectory {challenger!r} is not strictly better than {optimal_trajectory!r} "
             f"under rule {rule_id!r} at scenario {scenario!r}"
         )
-    if optimal_trajectory not in optimal_set(instance):
+    if w not in ev.optimal():
         raise PreconditionViolated(f"trajectory {optimal_trajectory!r} is not optimal")
 
     advantage_probability = exceedance_prob(instance.space, cost_challenger, cost_optimal, "<")
@@ -432,7 +466,7 @@ def pointwise_case(
         return PointwiseAnalysis(PointwiseCase.NULL_ADVANTAGE, rule_id, advantage_probability)
 
     config = instance.risk_configs[rule_id]
-    risk_optimal = risk_of(instance, rule_id, optimal_trajectory)
+    risk_optimal = ev.risk(r, w)
     if le(risk_optimal, config.threshold):
         return PointwiseAnalysis(
             PointwiseCase.SAFE_AT_OPTIMUM,
@@ -442,7 +476,7 @@ def pointwise_case(
             threshold=config.threshold,
         )
 
-    found = _witness_scan(instance, optimal_trajectory, challenger, rule_id)
+    found = ev.witnesses(w, c, r)
     if not found:
         raise NoWitness(
             f"no compensating rule found for the advantage of {challenger!r} over "

@@ -12,6 +12,7 @@ rules never compensate each other.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, NamedTuple
 
 from .errors import DuplicateElement, UnknownRealization, UnknownRule, ValidationError
@@ -53,21 +54,25 @@ class Rulebook:
     priority: Preorder
 
     def __post_init__(self) -> None:
-        ids = [r.id for r in self.rules]
+        ids = self.rule_ids
         if len(set(ids)) != len(ids):
             raise DuplicateElement("rule identifiers are not unique")
         if set(self.priority.elements) != set(ids):
             raise ValidationError("priority preorder must range over exactly the rule ids")
 
-    @property
+    @cached_property
     def rule_ids(self) -> tuple[str, ...]:
         return tuple(r.id for r in self.rules)
 
+    @cached_property
+    def _by_id(self) -> dict[str, Rule]:
+        return {r.id: r for r in self.rules}
+
     def rule(self, rule_id: str) -> Rule:
-        for r in self.rules:
-            if r.id == rule_id:
-                return r
-        raise UnknownRule(f"unknown rule {rule_id!r}")
+        try:
+            return self._by_id[rule_id]
+        except KeyError:
+            raise UnknownRule(f"unknown rule {rule_id!r}") from None
 
 
 def violation(rb: Rulebook, rule_id: str, x: Realization) -> float:

@@ -1,0 +1,102 @@
+"""Byte-identity of the CLI reports against recorded golden files.
+
+``tests/golden/`` holds the ``rank``, ``explain`` and ``check`` output, as
+text and as ``--json``, for the bundled instance (as shipped, and with the
+worst-case override on ``r1``) and for seeded ``instgen`` instances that mix
+all four measures, CVaR included, with strict, equal and incomparable rule
+priorities.  Any change of a report byte fails here.
+
+Python 3.12 made ``sum()`` of floats compensated, which moves the last
+digits of some reported probabilities and expectations, so each summation
+behaviour has its own set of files.  After an intended change of output,
+re-record the set of the running interpreter with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import io
+import random
+import sys
+from contextlib import redirect_stdout
+from pathlib import Path
+
+import pytest
+
+import riskbook as rb
+from riskbook.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+INSTANCES = GOLDEN / "instances"
+SUMMATION = "sum-compensated" if sum([1.0, 1e100, 1.0, -1e100]) == 2.0 else "sum-plain"
+BUNDLED = Path(rb.__file__).resolve().parent / "data" / "av_pedestrian.json"
+
+# Seeds of ``instgen.random_instance`` chosen for CVaR rules, mixed priority
+# relations, zero-probability scenarios, and from none to 91 witnesses per rank.
+INSTGEN_SEEDS = (27, 98, 112, 145, 376, 567)
+INSTGEN_SIZES = dict(max_trajectories=6, max_rules=5, max_scenarios=8, max_envs=3)
+
+CASES = {
+    "av_pedestrian": (BUNDLED, []),
+    "av_pedestrian_worst_case": (BUNDLED, ["--rule", "r1", "--measure", "worst_case", "--threshold", "175"]),
+    **{f"instgen_{seed}": (INSTANCES / f"instgen_{seed}.json", []) for seed in INSTGEN_SEEDS},
+}
+COMMANDS = ("rank", "explain", "check")
+FORMATS = {"txt": [], "json": ["--json"]}
+
+
+def _cli(argv: list[str]) -> str:
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(argv)
+    assert code == 0, f"riskbook {' '.join(argv)} exited {code}"
+    return out.getvalue()
+
+
+def render(case: str, command: str, fmt: str) -> str:
+    """The output one golden file records.  ``explain`` covers every pair of
+    trajectories once, in declaration order, each after a ``$ explain A B``
+    line; one call explains the tradeoffs in both directions."""
+    path, overrides = CASES[case]
+    tail = [str(path)] + overrides + FORMATS[fmt]
+    if command != "explain":
+        return _cli([command] + tail)
+    trajectories = rb.load_instance(path).trajectories
+    return "".join(
+        f"$ explain {a} {b}\n" + _cli(["explain"] + tail + [a, b])
+        for i, a in enumerate(trajectories)
+        for b in trajectories[i + 1 :]
+    )
+
+
+def golden_path(case: str, command: str, fmt: str) -> Path:
+    return GOLDEN / SUMMATION / case / f"{command}.{fmt}"
+
+
+@pytest.mark.parametrize("fmt", sorted(FORMATS))
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_report_matches_golden(case, command, fmt):
+    expected = golden_path(case, command, fmt).read_text(encoding="utf-8")
+    assert render(case, command, fmt) == expected
+
+
+def record() -> None:
+    sys.path.insert(0, str(Path(__file__).resolve().parent))
+    from instgen import random_instance
+
+    INSTANCES.mkdir(parents=True, exist_ok=True)
+    for seed in INSTGEN_SEEDS:
+        instance = random_instance(random.Random(seed), **INSTGEN_SIZES)
+        (INSTANCES / f"instgen_{seed}.json").write_text(rb.serialize_instance(instance), encoding="utf-8")
+    for case in CASES:
+        for command in COMMANDS:
+            for fmt in FORMATS:
+                path = golden_path(case, command, fmt)
+                path.parent.mkdir(parents=True, exist_ok=True)
+                path.write_text(render(case, command, fmt), encoding="utf-8")
+
+
+if __name__ == "__main__":
+    record()

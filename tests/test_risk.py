@@ -71,6 +71,49 @@ class TestTailExpectation:
         assert assess(RiskMeasure.cvar(1.0), space, cost(*KEEP_SPEED)) == 225.0
 
 
+def support_point_cvar(atoms, alpha):
+    """Reference: the Rockafellar-Uryasev objective summed term by term at
+    every support point, the quadratic form the one-pass evaluation replaces."""
+    if alpha == 1.0:
+        return atoms[-1][0]
+    scale = 1.0 / (1.0 - alpha)
+    return min(beta + scale * sum(p * (v - beta) for v, p in atoms if v > beta) for beta, _ in atoms)
+
+
+class TestOnePassTailExpectation:
+    @pytest.mark.parametrize("magnitude", [1e-6, 1.0, 1e3, 1e9])
+    def test_equals_the_term_by_term_minimum(self, magnitude):
+        rng = random.Random(f"cvar:{magnitude}")
+        for _ in range(300):
+            ids = tuple(f"w{i}" for i in range(rng.randint(1, 120)))
+            weights = [rng.choice((0.0, 1e-12, 1.0, rng.uniform(0.01, 1.0))) for _ in ids]
+            weights[0] = weights[0] or 1.0
+            total = sum(weights)
+            space = FiniteProbSpace(ids, {w: x / total for w, x in zip(ids, weights)})
+            if rng.random() < 0.5:
+                values = {w: magnitude * rng.choice((0.0, 0.5, 1.0, 2.5, 7.5, 30.0)) for w in ids}
+            else:
+                values = {w: magnitude * rng.uniform(0.0, 10.0) for w in ids}
+            f = RandomCost(values)
+            alpha = rng.choice((0.0, 0.5, 0.9, 0.99, 1.0, rng.random()))
+            expected = support_point_cvar(rb.distribution(space, f), alpha)
+            assert assess(RiskMeasure.cvar(alpha), space, f) == expected
+
+    def test_flat_minimum_settles_like_the_term_by_term_sum(self):
+        # With equal weights and alpha = k/n the objective is flat between two
+        # support points; its two sums there differ in the last bits, and the
+        # one-pass values alone can pick the other point.
+        rng = random.Random(1)
+        for _ in range(2000):
+            n = rng.randint(2, 12)
+            ids = tuple(f"w{i}" for i in range(n))
+            space = FiniteProbSpace(ids, {w: 1.0 / n for w in ids})
+            f = RandomCost({w: round(rng.uniform(0.0, 10.0), rng.choice((1, 2, 3, 6))) for w in ids})
+            alpha = rng.randint(1, n - 1) / n
+            expected = support_point_cvar(rb.distribution(space, f), alpha)
+            assert assess(RiskMeasure.cvar(alpha), space, f) == expected
+
+
 class TestWorstCaseAndExpected:
     def test_worst_case_ignores_probability_mass(self, space):
         assert assess(RiskMeasure.worst_case(), space, cost(*GENTLE_BRAKE)) == 175.0

@@ -1,10 +1,12 @@
 import dataclasses
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
 import riskbook as rb
+from riskbook import reports, riskaware
 from riskbook import (
     PointwiseCase,
     RiskMeasure,
@@ -343,3 +345,75 @@ class TestStructuralProperties:
                 )
                 if dominates:
                     assert compare_trajectories(inst, a, b) in (Verdict.LOWER, Verdict.EQUAL)
+
+
+class TestOperationCounts:
+    """Counts of induced cost builds and risk assessments, made where the
+    evaluation looks them up, on a seeded T10/R6 instance with four optimal
+    trajectories and many witnessed tradeoffs."""
+
+    RULES, TRAJECTORIES = 6, 10
+
+    @pytest.fixture()
+    def instance(self):
+        rng = random.Random(4)
+        scenarios = [f"w{i}" for i in range(20)]
+        weights = [rng.uniform(0.1, 1.0) for _ in scenarios]
+        weights[rng.randrange(len(scenarios))] = 0.0
+        total = sum(weights)
+        trajectories = [f"t{i}" for i in range(self.TRAJECTORIES)]
+        envs = ("e0", "e1", "e2")
+        rules = [f"r{i}" for i in range(self.RULES)]
+        return build_instance(
+            probs={w: x / total for w, x in zip(scenarios, weights)},
+            envs=envs,
+            interaction={(t, w): rng.choice(envs) for t in trajectories for w in scenarios},
+            tables={
+                r: {(t, e): rng.choice((0.0, 0.0, 1.0, 2.0, 3.0)) for t in trajectories for e in envs}
+                for r in rules
+            },
+            edges=[(a, b) for i, a in enumerate(rules) for b in rules[i + 1 :] if rng.random() < 0.3],
+        )
+
+    @pytest.fixture()
+    def counts(self, monkeypatch):
+        counts = Counter()
+        build, assess = riskaware.induced_random_cost, riskaware.assess
+
+        def counting_build(instance, rule_id, trajectory):
+            counts[(rule_id, trajectory)] += 1
+            counts["builds"] += 1
+            return build(instance, rule_id, trajectory)
+
+        def counting_assess(measure, space, f):
+            counts["assessments"] += 1
+            return assess(measure, space, f)
+
+        monkeypatch.setattr(riskaware, "induced_random_cost", counting_build)
+        monkeypatch.setattr(riskaware, "assess", counting_assess)
+        return counts
+
+    def test_rank_builds_and_assesses_each_pair_at_most_once(self, instance, counts):
+        report = reports.run_rank(instance)
+        assert len(report.optimal) == 4 and len(report.explanations) == 77
+        assert max(n for key, n in counts.items() if isinstance(key, tuple)) == 1
+        assert counts["builds"] <= self.RULES * self.TRAJECTORIES
+        assert counts["assessments"] <= self.RULES * self.TRAJECTORIES
+
+    def test_explain_and_check_stay_within_one_pass(self, instance, counts):
+        explanation = reports.run_explain(instance, "t4", "t0")
+        assert explanation.tradeoffs
+        assert counts["builds"] <= self.RULES * self.TRAJECTORIES
+        assert counts["assessments"] <= self.RULES * self.TRAJECTORIES
+        counts.clear()
+        reports.run_check(instance)
+        assert counts["builds"] <= self.RULES * self.TRAJECTORIES
+        assert counts["assessments"] <= self.RULES * self.TRAJECTORIES
+
+    def test_standalone_witness_builds_at_most_two_costs_per_rule(self, instance, counts):
+        explanations = reports.run_rank(instance).explanations
+        for e in explanations[:: len(explanations) // 8]:
+            counts.clear()
+            witness = tradeoff_witness(instance, e.optimal_trajectory, e.challenger, e.improving_rule)
+            assert witness == e.witnesses[0]
+            assert counts["builds"] <= 2 * self.RULES
