@@ -17,7 +17,7 @@ import argparse
 import sys
 
 from .errors import ParseError, RiskbookError
-from .instances import MEASURE_KINDS, load_instance, with_risk_config
+from .instances import load_instance, with_risk_config
 from .reports import (
     render_check,
     render_explanation,
@@ -28,6 +28,7 @@ from .reports import (
     run_rank,
     run_risk_table,
 )
+from .risk import MEASURE_KINDS
 
 
 class _ScopedOverride(argparse.Action):
@@ -90,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     explain.add_argument("first", help="first trajectory id")
     explain.add_argument("second", help="second trajectory id")
 
-    check = sub.add_parser("check", help="re-verify instance invariants and ordering laws")
+    check = sub.add_parser("check", help="verify preorder laws and custom measures (loading checks the rest)")
     _add_common(check)
 
     return parser

@@ -5,6 +5,8 @@ can catch one type at an API boundary.  Identifier-lookup failures share the
 :class:`UnknownElement` base.
 """
 
+from typing import Iterable
+
 
 class RiskbookError(Exception):
     """Base class for all errors raised by riskbook."""
@@ -64,3 +66,12 @@ class ParseError(RiskbookError):
 
 class ValidationError(RiskbookError):
     """The instance document is well-formed but violates an invariant."""
+
+
+def require_unique(ids: Iterable[str], what: str, error: type[RiskbookError]) -> None:
+    """Raise ``error`` naming the first identifier that ``ids`` repeats."""
+    seen: set[str] = set()
+    for x in ids:
+        if x in seen:
+            raise error(f"{what} {x!r} is declared more than once; identifiers must be unique")
+        seen.add(x)

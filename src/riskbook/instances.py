@@ -12,9 +12,19 @@ The document format is a single UTF-8 JSON object with six top-level keys:
 - ``priority``: list of ``[higher, lower]`` rule id pairs
 
 Measure kinds are ``expected``, ``worst_case``, ``var``, and ``cvar``;
-``alpha`` is required for the last two and rejected otherwise.  Malformed
-documents raise :class:`ParseError`; well-formed documents that break an
-invariant raise :class:`ValidationError` naming the offending field.
+``alpha`` is required for the last two and rejected otherwise.  Documents
+that are not JSON raise :class:`ParseError`.
+
+The parser checks only the document's shape: value types, the top-level and
+risk-block keys, and the arity of priority pairs.  Every other invariant has
+one owner, the constructor of the object it constrains: probabilities in
+:class:`FiniteProbSpace`, nonnegative violations in :class:`Rule`, measure
+kind and ``alpha`` in :class:`RiskMeasure`, thresholds in
+:class:`RiskConfig`, unique rule ids and priority closure in
+:func:`build_preorder` and :class:`Rulebook`, unique trajectory ids and
+total tables in :class:`Instance`.  The parser re-raises a constructor's
+error as :class:`ValidationError` with the JSON path in front.  Built
+objects keep read-only copies of their tables, so they stay valid.
 """
 
 from __future__ import annotations
@@ -23,16 +33,14 @@ import json
 from dataclasses import replace
 from importlib import resources
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
-from .errors import InvalidAlpha, ParseError, UnknownElement, ValidationError
+from .errors import DuplicateElement, ParseError, RiskbookError, ValidationError
 from .preorder import build_preorder
 from .probspace import FiniteProbSpace
-from .risk import CUSTOM, CVAR, EXPECTED, VAR, WORST_CASE, RiskMeasure
+from .risk import CUSTOM, CVAR, VAR, RiskMeasure
 from .riskaware import Instance, InteractionModel, RiskConfig
 from .rulebook import Rule, Rulebook
-
-MEASURE_KINDS = (EXPECTED, WORST_CASE, VAR, CVAR)
 
 _TOP_LEVEL_KEYS = (
     "scenarios",
@@ -68,26 +76,11 @@ def _expect_number(value: Any, path: str) -> float:
     return float(value)
 
 
-def _unique_ids(ids: list[str], path: str) -> None:
-    seen: set[str] = set()
-    for x in ids:
-        if x in seen:
-            raise ValidationError(f"{path}: identifier {x!r} declared more than once")
-        seen.add(x)
-
-
-def _parse_measure(doc: dict, path: str) -> RiskMeasure:
-    kind = _expect_str(doc.get("measure"), f"{path}.measure")
-    if kind not in MEASURE_KINDS:
-        raise ValidationError(
-            f"{path}.measure: unknown kind {kind!r}, expected one of {', '.join(MEASURE_KINDS)}"
-        )
-    alpha = None
-    if "alpha" in doc:
-        alpha = _expect_number(doc["alpha"], f"{path}.alpha")
+def _built(path: str, make: Callable[..., Any], *args: Any) -> Any:
+    """``make(*args)``, with any invariant it rejects reported at ``path``."""
     try:
-        return RiskMeasure(kind, alpha=alpha)
-    except InvalidAlpha as exc:
+        return make(*args)
+    except RiskbookError as exc:
         raise ValidationError(f"{path}: {exc}") from None
 
 
@@ -101,74 +94,49 @@ def instance_from_dict(doc: Any) -> Instance:
         if key not in _TOP_LEVEL_KEYS:
             raise ValidationError(f"document: unexpected top-level key {key!r}")
 
-    scenario_docs = _expect_list(doc["scenarios"], "scenarios")
     scenario_ids: list[str] = []
     probs: dict[str, float] = {}
-    for i, entry in enumerate(scenario_docs):
+    for i, entry in enumerate(_expect_list(doc["scenarios"], "scenarios")):
         entry = _expect_object(entry, f"scenarios[{i}]")
         sid = _expect_str(entry.get("id"), f"scenarios[{i}].id")
-        prob = _expect_number(entry.get("prob"), f"scenarios[{i}].prob")
         scenario_ids.append(sid)
-        probs[sid] = prob
-    _unique_ids(scenario_ids, "scenarios")
-    space = FiniteProbSpace(tuple(scenario_ids), probs)
+        probs[sid] = _expect_number(entry.get("prob"), f"scenarios[{i}].prob")
+    space = _built("scenarios", FiniteProbSpace, tuple(scenario_ids), probs)
 
-    trajectories = [
+    trajectories = tuple(
         _expect_str(t, f"system_trajectories[{i}]")
         for i, t in enumerate(_expect_list(doc["system_trajectories"], "system_trajectories"))
-    ]
-    _unique_ids(trajectories, "system_trajectories")
-    env_trajectories = [
+    )
+    env_trajectories = tuple(
         _expect_str(e, f"environment_trajectories[{i}]")
         for i, e in enumerate(_expect_list(doc["environment_trajectories"], "environment_trajectories"))
-    ]
-    _unique_ids(env_trajectories, "environment_trajectories")
+    )
 
-    interaction_doc = _expect_object(doc["interaction"], "interaction")
     responses: dict[tuple[str, str], str] = {}
-    for traj, row in interaction_doc.items():
-        if traj not in trajectories:
-            raise ValidationError(f"interaction: unknown system trajectory {traj!r}")
-        row = _expect_object(row, f"interaction.{traj}")
-        for scenario, env in row.items():
-            if scenario not in scenario_ids:
-                raise ValidationError(f"interaction.{traj}: unknown scenario {scenario!r}")
+    for traj, row in _expect_object(doc["interaction"], "interaction").items():
+        for scenario, env in _expect_object(row, f"interaction.{traj}").items():
             responses[(traj, scenario)] = _expect_str(env, f"interaction.{traj}.{scenario}")
 
-    rule_docs = _expect_list(doc["rules"], "rules")
     rules: list[Rule] = []
     risk_configs: dict[str, RiskConfig] = {}
-    for i, entry in enumerate(rule_docs):
-        entry = _expect_object(entry, f"rules[{i}]")
-        rid = _expect_str(entry.get("id"), f"rules[{i}].id")
-        table_doc = _expect_object(entry.get("violations"), f"rules[{i}].violations")
+    for i, entry in enumerate(_expect_list(doc["rules"], "rules")):
+        path = f"rules[{i}]"
+        entry = _expect_object(entry, path)
+        rid = _expect_str(entry.get("id"), f"{path}.id")
         table: dict[tuple[str, str], float] = {}
-        for traj, row in table_doc.items():
-            if traj not in trajectories:
-                raise ValidationError(f"rules[{i}].violations: unknown system trajectory {traj!r}")
-            row = _expect_object(row, f"rules[{i}].violations.{traj}")
-            for env, value in row.items():
-                if env not in env_trajectories:
-                    raise ValidationError(
-                        f"rules[{i}].violations.{traj}: unknown environment trajectory {env!r}"
-                    )
-                number = _expect_number(value, f"rules[{i}].violations.{traj}.{env}")
-                if number < 0:
-                    raise ValidationError(
-                        f"rules[{i}].violations.{traj}.{env}: violation must be nonnegative"
-                    )
-                table[(traj, env)] = number
-        risk_doc = _expect_object(entry.get("risk"), f"rules[{i}].risk")
+        for traj, row in _expect_object(entry.get("violations"), f"{path}.violations").items():
+            for env, value in _expect_object(row, f"{path}.violations.{traj}").items():
+                table[(traj, env)] = _expect_number(value, f"{path}.violations.{traj}.{env}")
+        rules.append(_built(path, Rule, rid, table))
+        risk_doc = _expect_object(entry.get("risk"), f"{path}.risk")
         for key in risk_doc:
             if key not in ("measure", "alpha", "threshold"):
-                raise ValidationError(f"rules[{i}].risk: unexpected key {key!r}")
-        measure = _parse_measure(risk_doc, f"rules[{i}].risk")
-        threshold = _expect_number(risk_doc.get("threshold"), f"rules[{i}].risk.threshold")
-        if threshold < 0:
-            raise ValidationError(f"rules[{i}].risk.threshold: must be nonnegative")
-        rules.append(Rule(rid, table))
-        risk_configs[rid] = RiskConfig(measure, threshold)
-    _unique_ids([r.id for r in rules], "rules")
+                raise ValidationError(f"{path}.risk: unexpected key {key!r}")
+        kind = _expect_str(risk_doc.get("measure"), f"{path}.risk.measure")
+        alpha = _expect_number(risk_doc["alpha"], f"{path}.risk.alpha") if "alpha" in risk_doc else None
+        threshold = _expect_number(risk_doc.get("threshold"), f"{path}.risk.threshold")
+        measure = _built(f"{path}.risk", RiskMeasure, kind, alpha)
+        risk_configs[rid] = _built(f"{path}.risk", RiskConfig, measure, threshold)
 
     edges: list[tuple[str, str]] = []
     for i, pair in enumerate(_expect_list(doc["priority"], "priority")):
@@ -180,16 +148,20 @@ def instance_from_dict(doc: Any) -> Instance:
         )
     try:
         priority = build_preorder([r.id for r in rules], edges)
-    except UnknownElement as exc:
+    except DuplicateElement as exc:  # a repeated rule id
+        raise ValidationError(f"rules: {exc}") from None
+    except RiskbookError as exc:  # an undeclared rule in an edge
         raise ValidationError(f"priority: {exc}") from None
 
-    return Instance(
-        space=space,
-        trajectories=tuple(trajectories),
-        env_trajectories=tuple(env_trajectories),
-        interaction=InteractionModel(responses),
-        rulebook=Rulebook(tuple(rules), priority),
-        risk_configs=risk_configs,
+    return _built(
+        "document",
+        Instance,
+        space,
+        trajectories,
+        env_trajectories,
+        InteractionModel(responses),
+        Rulebook(tuple(rules), priority),
+        risk_configs,
     )
 
 
@@ -278,29 +250,18 @@ def with_risk_config(
 
     ``measure`` is a kind name.  Switching to ``var``/``cvar`` keeps the
     current ``alpha`` unless a new one is given; switching away drops it.
-    Arguments left as None keep their current value.
+    Arguments left as None keep their current value.  :class:`RiskMeasure`
+    and :class:`RiskConfig` reject what they cannot hold, reported as a
+    :class:`ValidationError` naming the rule.
     """
     current = instance.config(rule_id)
-    kind = measure if measure is not None else current.measure.kind
-    if kind == CUSTOM:
-        if measure is not None or alpha is not None:
-            raise ValidationError("custom measures cannot be configured by name")
-        new_measure = current.measure
-    elif kind in (VAR, CVAR):
-        new_alpha = alpha if alpha is not None else current.measure.alpha
-        if new_alpha is None:
-            raise ValidationError(f"measure {kind!r} requires alpha")
-        try:
-            new_measure = RiskMeasure(kind, alpha=new_alpha)
-        except InvalidAlpha as exc:
-            raise ValidationError(str(exc)) from None
-    else:
-        if kind not in MEASURE_KINDS:
-            raise ValidationError(f"unknown measure kind {kind!r}")
-        if alpha is not None:
-            raise ValidationError(f"measure {kind!r} does not take alpha")
-        new_measure = RiskMeasure(kind)
-    new_threshold = threshold if threshold is not None else current.threshold
+    new_measure = current.measure
+    if measure is not None or alpha is not None:
+        kind = current.measure.kind if measure is None else measure
+        if alpha is None and kind in (VAR, CVAR):
+            alpha = current.measure.alpha
+        new_measure = _built(f"rule {rule_id!r}", RiskMeasure, kind, alpha)
+    new_threshold = current.threshold if threshold is None else threshold
     configs = dict(instance.risk_configs)
-    configs[rule_id] = RiskConfig(new_measure, new_threshold)
+    configs[rule_id] = _built(f"rule {rule_id!r}", RiskConfig, new_measure, new_threshold)
     return replace(instance, risk_configs=configs)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
-from .errors import DuplicateElement, UnknownElement
+from .errors import DuplicateElement, UnknownElement, require_unique
 
 
 class Verdict(Enum):
@@ -59,9 +59,8 @@ class Preorder:
     relation: frozenset[tuple[str, str]]
 
     def __post_init__(self) -> None:
+        require_unique(self.elements, "element", DuplicateElement)
         declared = set(self.elements)
-        if len(declared) != len(self.elements):
-            raise DuplicateElement("preorder elements contain duplicates")
         for a, b in self.relation:
             if a not in declared or b not in declared:
                 raise UnknownElement(f"relation pair ({a!r}, {b!r}) references an undeclared element")
@@ -117,23 +116,19 @@ def build_preorder(elements: Sequence[str], priority_edges: Iterable[tuple[str, 
 
     Equal rank is declared with a pair of opposite edges; omitting both
     directions leaves two elements incomparable.  Raises
-    :class:`DuplicateElement` on repeated identifiers and
-    :class:`UnknownElement` when an edge endpoint is undeclared.
+    :class:`UnknownElement` when an edge endpoint is undeclared, and the
+    :class:`Preorder` it builds raises :class:`DuplicateElement` on repeated
+    identifiers.
     """
     elements = tuple(elements)
-    index: dict[str, int] = {}
-    for i, e in enumerate(elements):
-        if e in index:
-            raise DuplicateElement(f"element {e!r} declared more than once")
-        index[e] = i
+    index = {e: i for i, e in enumerate(elements)}
 
     n = len(elements)
     reach = [1 << i for i in range(n)]
     for hi, lo in priority_edges:
-        if hi not in index:
-            raise UnknownElement(f"edge ({hi!r}, {lo!r}) references undeclared element {hi!r}")
-        if lo not in index:
-            raise UnknownElement(f"edge ({hi!r}, {lo!r}) references undeclared element {lo!r}")
+        for x in (hi, lo):
+            if x not in index:
+                raise UnknownElement(f"edge ({hi!r}, {lo!r}) references undeclared element {x!r}")
         reach[index[hi]] |= 1 << index[lo]
 
     # Warshall closure on bitmasks; element counts are small.

@@ -2,15 +2,17 @@
 
 A scenario is just an identifier; a :class:`RandomCost` assigns a
 nonnegative cost to each one.  Probabilities are plain doubles validated to
-sum to one within the package tolerance.  Values and spaces are immutable.
+sum to one within the package tolerance.  A space keeps a read-only copy of
+the probabilities it was given, so it stays valid once built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Mapping
 
-from .errors import DomainMismatch, UnknownScenario, ValidationError
+from .errors import DomainMismatch, UnknownScenario, ValidationError, require_unique
 from .tolerance import TOL, eq, ge, gt, le, lt
 
 # Relation tokens accepted by exceedance_prob; unicode forms map to ASCII.
@@ -34,8 +36,9 @@ class FiniteProbSpace:
     probs: Mapping[str, float]
 
     def __post_init__(self) -> None:
-        if len(set(self.scenarios)) != len(self.scenarios):
-            raise ValidationError("scenario identifiers are not unique")
+        object.__setattr__(self, "scenarios", tuple(self.scenarios))
+        object.__setattr__(self, "probs", MappingProxyType(dict(self.probs)))
+        require_unique(self.scenarios, "scenario", ValidationError)
         if set(self.probs) != set(self.scenarios):
             raise ValidationError("probabilities must cover exactly the declared scenarios")
         for omega in self.scenarios:

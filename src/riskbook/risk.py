@@ -30,7 +30,7 @@ VAR = "var"
 CVAR = "cvar"
 CUSTOM = "custom"
 
-_BUILTIN_KINDS = (EXPECTED, WORST_CASE, VAR, CVAR)
+MEASURE_KINDS = (EXPECTED, WORST_CASE, VAR, CVAR)
 
 CustomAssessor = Callable[[FiniteProbSpace, RandomCost], float]
 
@@ -57,7 +57,9 @@ class RiskMeasure:
             if self.fn is None:
                 raise ValidationError("custom measure requires a callable")
         else:
-            raise ValidationError(f"unknown risk measure kind {self.kind!r}")
+            raise ValidationError(
+                f"unknown risk measure kind {self.kind!r}, expected one of {', '.join(MEASURE_KINDS)}"
+            )
 
     @staticmethod
     def expected() -> "RiskMeasure":

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import wraps
+from types import MappingProxyType
 from typing import Mapping
 
 from .errors import (
@@ -29,6 +30,7 @@ from .errors import (
     UnknownScenario,
     UnknownTrajectory,
     ValidationError,
+    require_unique,
 )
 from .preorder import Verdict
 from .probspace import FiniteProbSpace, RandomCost, exceedance_prob
@@ -42,6 +44,9 @@ class InteractionModel:
     """Environment response for every (system trajectory, scenario) pair."""
 
     responses: Mapping[tuple[str, str], str]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "responses", MappingProxyType(dict(self.responses)))
 
     def response(self, trajectory: str, scenario: str) -> str:
         try:
@@ -64,14 +69,30 @@ class RiskConfig:
             raise ValidationError(f"threshold must be nonnegative, got {self.threshold!r}")
 
 
+def _require_grid(table: Mapping, rows: tuple[str, ...], columns: tuple[str, ...], owner: str) -> None:
+    """Raise unless ``table`` has one entry per (row, column) pair and no other,
+    naming the first undeclared key in table order or else the first missing
+    pair in declaration order."""
+    row_ids, column_ids = set(rows), set(columns)
+    for key in table:
+        if len(key) != 2 or key[0] not in row_ids or key[1] not in column_ids:
+            raise ValidationError(f"{owner} has an entry for undeclared pair {key!r}")
+    if len(table) != len(rows) * len(columns):
+        key = next((r, c) for r in rows for c in columns if (r, c) not in table)
+        raise ValidationError(f"{owner} is missing an entry for {key!r}")
+
+
 @dataclass(frozen=True)
 class Instance:
     """A complete evaluation problem.
 
     Bundles the scenario space, the candidate system trajectories, the
     possible environment trajectories, the interaction model, the rulebook,
-    and one :class:`RiskConfig` per rule.  Construction validates totality
-    of all tables; instances are immutable afterwards.
+    and one :class:`RiskConfig` per rule.  Each part checks its own
+    invariants when built; the instance checks what ties them together:
+    unique trajectory ids, interaction and violation tables total over the
+    declared ids, and a risk configuration for exactly the rules.  Tables
+    are stored as read-only copies, so an instance stays valid once built.
     """
 
     space: FiniteProbSpace
@@ -82,47 +103,26 @@ class Instance:
     risk_configs: Mapping[str, RiskConfig]
 
     def __post_init__(self) -> None:
-        if len(set(self.trajectories)) != len(self.trajectories):
-            raise ValidationError("system trajectory identifiers are not unique")
-        if len(set(self.env_trajectories)) != len(self.env_trajectories):
-            raise ValidationError("environment trajectory identifiers are not unique")
+        object.__setattr__(self, "trajectories", tuple(self.trajectories))
+        object.__setattr__(self, "env_trajectories", tuple(self.env_trajectories))
+        object.__setattr__(self, "risk_configs", MappingProxyType(dict(self.risk_configs)))
+        require_unique(self.trajectories, "system trajectory", ValidationError)
+        require_unique(self.env_trajectories, "environment trajectory", ValidationError)
 
-        env_ids = set(self.env_trajectories)
-        expected_keys = {(t, w) for t in self.trajectories for w in self.space.scenarios}
-        actual_keys = set(self.interaction.responses)
-        missing = sorted(expected_keys - actual_keys)
-        if missing:
-            raise ValidationError(f"interaction is missing an entry for {missing[0]!r}")
-        undeclared = sorted(actual_keys - expected_keys)
-        if undeclared:
-            raise ValidationError(f"interaction has an entry for undeclared pair {undeclared[0]!r}")
-        for key in sorted(expected_keys):
-            if self.interaction.responses[key] not in env_ids:
-                raise ValidationError(
-                    f"interaction maps {key!r} to undeclared environment trajectory "
-                    f"{self.interaction.responses[key]!r}"
-                )
-
-        grid = {(t, e) for t in self.trajectories for e in self.env_trajectories}
+        _require_grid(self.interaction.responses, self.trajectories, self.space.scenarios, "interaction")
+        envs = set(self.env_trajectories)
+        for key, env in self.interaction.responses.items():
+            if env not in envs:
+                raise ValidationError(f"interaction maps {key!r} to undeclared environment trajectory {env!r}")
         for rule in self.rulebook.rules:
-            table_keys = set(rule.violations)
-            missing = sorted(grid - table_keys)
-            if missing:
-                raise ValidationError(
-                    f"rule {rule.id!r} is missing a violation entry for {missing[0]!r}"
-                )
-            undeclared = sorted(table_keys - grid)
-            if undeclared:
-                raise ValidationError(f"rule {rule.id!r} scores undeclared pair {undeclared[0]!r}")
+            _require_grid(rule.violations, self.trajectories, self.env_trajectories, f"rule {rule.id!r}")
 
-        config_ids = set(self.risk_configs)
-        rule_ids = set(self.rulebook.rule_ids)
-        unconfigured = sorted(rule_ids - config_ids)
-        if unconfigured:
-            raise ValidationError(f"rule {unconfigured[0]!r} has no risk configuration")
-        extra = sorted(config_ids - rule_ids)
-        if extra:
-            raise ValidationError(f"risk configuration given for unknown rule {extra[0]!r}")
+        for rule_id in self.rulebook.rule_ids:
+            if rule_id not in self.risk_configs:
+                raise ValidationError(f"rule {rule_id!r} has no risk configuration")
+        for rule_id in self.risk_configs:
+            if rule_id not in self.rulebook.rule_ids:
+                raise ValidationError(f"risk configuration given for unknown rule {rule_id!r}")
 
     def require_trajectory(self, trajectory: str) -> None:
         if trajectory not in self.trajectories:
@@ -141,14 +141,13 @@ class Instance:
 
 
 def induced_random_cost(instance: Instance, rule_id: str, trajectory: str) -> RandomCost:
-    """Scenario-indexed violation of ``rule_id`` when ``trajectory`` is driven."""
-    rule = instance.rulebook.rule(rule_id)
+    """Scenario-indexed violation of ``rule_id`` when ``trajectory`` is driven,
+    read straight from the instance's tables, which are total and read-only."""
+    violations = instance.rulebook.rule(rule_id).violations
     instance.require_trajectory(trajectory)
+    responses = instance.interaction.responses
     return RandomCost(
-        {
-            omega: rule.violation(Realization(trajectory, instance.interaction.response(trajectory, omega)))
-            for omega in instance.space.scenarios
-        }
+        {omega: violations[(trajectory, responses[(trajectory, omega)])] for omega in instance.space.scenarios}
     )
 
 
@@ -171,9 +170,10 @@ class _Evaluation:
     Rules and trajectories are addressed by declaration index.  Figures are
     computed on first use: a question about two trajectories builds and
     assesses only their induced costs, while a matrix or an optimal set
-    assesses every (rule, trajectory) pair once.  An evaluation serves one
-    top-level call and is never kept on the instance, whose tables are still
-    the caller's dicts.
+    assesses every (rule, trajectory) pair once.  The instance's tables are
+    read-only copies validated at construction, so nothing here re-checks
+    them.  An evaluation serves one top-level call and is not kept on the
+    instance, so its memory is released with the call.
     """
 
     def __init__(self, instance: Instance) -> None:

@@ -13,9 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
-from .errors import DuplicateElement, UnknownRealization, UnknownRule, ValidationError
+from .errors import DuplicateElement, UnknownRealization, UnknownRule, ValidationError, require_unique
 from .preorder import Preorder, Verdict
 from .tolerance import gt, lt
 
@@ -27,15 +28,19 @@ class Realization(NamedTuple):
 
 @dataclass(frozen=True)
 class Rule:
-    """A violation table over (system trajectory, environment trajectory) pairs."""
+    """A violation table over (system trajectory, environment trajectory) pairs,
+    kept as a read-only copy whose every violation is nonnegative."""
 
     id: str
     violations: Mapping[tuple[str, str], float]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "violations", MappingProxyType(dict(self.violations)))
         for key, v in self.violations.items():
-            if not v >= 0:
-                raise ValidationError(f"rule {self.id!r} has negative violation at {key!r}")
+            if not v >= 0:  # also rejects NaN
+                raise ValidationError(
+                    f"rule {self.id!r} has violation {v!r} at {key!r}; violations must be nonnegative"
+                )
 
     def violation(self, x: Realization) -> float:
         try:
@@ -55,8 +60,7 @@ class Rulebook:
 
     def __post_init__(self) -> None:
         ids = self.rule_ids
-        if len(set(ids)) != len(ids):
-            raise DuplicateElement("rule identifiers are not unique")
+        require_unique(ids, "rule", DuplicateElement)
         if set(self.priority.elements) != set(ids):
             raise ValidationError("priority preorder must range over exactly the rule ids")
 

@@ -128,6 +128,14 @@ class TestExitCodes:
         assert main(["rank", str(path)]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_invariant_break_is_a_validation_failure_naming_the_id(self, tmp_path, capsys):
+        doc = json.loads(rb.bundled_instance_text())
+        doc["rules"][1]["violations"]["tau3"]["xi7"] = 1.0
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["rank", str(path)]) == 1
+        assert "xi7" in capsys.readouterr().err
+
     def test_override_before_rule_scope(self, av_file, capsys):
         assert main(["rank", av_file, "--measure", "expected"]) == 2
         assert "must follow a --rule" in capsys.readouterr().err

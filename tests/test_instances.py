@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import json
 
 import pytest
@@ -125,6 +127,43 @@ class TestParse:
             instance_from_dict(bad)
 
 
+def _edit(path, value):
+    """An edit that sets ``doc[path[0]]...[path[-1]] = value``."""
+
+    def apply(d):
+        for key in path[:-1]:
+            d = d[key]
+        d[path[-1]] = value
+
+    return apply
+
+
+def _append(key, make):
+    return lambda d: d[key].append(make(d))
+
+
+# Each edit breaks one invariant the document's shape cannot show; the error
+# must name the offending identifier.
+INVARIANT_BREAKS = {
+    "unknown trajectory in interaction": (_edit(["interaction", "tau9"], {"w1": "xi1"}), "tau9"),
+    "unknown scenario in interaction": (_edit(["interaction", "tau1", "w9"], "xi1"), "w9"),
+    "unknown trajectory in violations": (_edit(["rules", 0, "violations", "tau9"], {"xi1": 0}), "tau9"),
+    "unknown environment in violations": (_edit(["rules", 0, "violations", "tau1", "xi9"], 0), "xi9"),
+    "duplicate trajectory": (_append("system_trajectories", lambda d: "tau2"), "tau2"),
+    "duplicate environment": (_append("environment_trajectories", lambda d: "xi2"), "xi2"),
+    "duplicate rule": (_append("rules", lambda d: copy.deepcopy(d["rules"][2])), "r3"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INVARIANT_BREAKS))
+def test_invariant_break_names_the_identifier(case):
+    edit, name = INVARIANT_BREAKS[case]
+    bad = doc()
+    edit(bad)
+    with pytest.raises(rb.ValidationError, match=name):
+        instance_from_dict(bad)
+
+
 class TestRoundTrip:
     def test_serialize_then_parse_is_identity(self):
         inst = bundled_instance()
@@ -140,6 +179,54 @@ class TestRoundTrip:
         again = parse_instance(serialize_instance(inst))
         assert again == inst
         assert again.risk_configs["r1"].measure.alpha == 0.9988
+
+
+# Each validated object, built from a caller's dict, and the table it keeps.
+STORED_TABLES = {
+    "Rule": (
+        lambda av: av.rulebook.rules[0].violations,
+        lambda av, d: rb.Rule("r1", d).violations,
+    ),
+    "FiniteProbSpace": (
+        lambda av: av.space.probs,
+        lambda av, d: rb.FiniteProbSpace(tuple(d), d).probs,
+    ),
+    "InteractionModel": (
+        lambda av: av.interaction.responses,
+        lambda av, d: rb.InteractionModel(d).responses,
+    ),
+    "Instance.risk_configs": (
+        lambda av: av.risk_configs,
+        lambda av, d: dataclasses.replace(av, risk_configs=d).risk_configs,
+    ),
+}
+
+
+class TestImmutability:
+    @pytest.mark.parametrize("owner", sorted(STORED_TABLES))
+    def test_caller_dict_mutation_does_not_reach_the_object(self, av, owner):
+        source, build = STORED_TABLES[owner]
+        caller = dict(source(av))
+        stored = build(av, caller)
+        before = dict(stored)
+        first, last = list(caller)[0], list(caller)[-1]
+        caller[first] = caller.pop(last)
+        caller["undeclared"] = None
+        assert stored == before
+
+    @pytest.mark.parametrize("owner", sorted(STORED_TABLES))
+    def test_stored_table_rejects_item_assignment(self, av, owner):
+        source, build = STORED_TABLES[owner]
+        stored = build(av, dict(source(av)))
+        key = next(iter(stored))
+        with pytest.raises(TypeError):
+            stored[key] = stored[key]
+
+    def test_validated_rule_cannot_gain_a_negative_violation(self):
+        table = {("t", "e"): 1.0}
+        rule = rb.Rule("x", table)
+        table[("t", "e")] = -3.0
+        assert rule.violations[("t", "e")] == 1.0
 
 
 class TestOverrides:

@@ -138,7 +138,29 @@ class TestCheck:
         assert not report.ok
         assert "FAILED" in render_check(report)
 
+    def test_failed_preorder_names_its_counterexample(self):
+        # Excesses 1.2e-9, 0.6e-9 and 0: each is within the absolute
+        # tolerance of the next but a is not within it of c, so the computed
+        # order is not transitive at (a, b, c).
+        violations = {"a": 1.2e-9, "b": 0.6e-9, "c": 0.0}
+        inst = rb.Instance(
+            space=rb.FiniteProbSpace(("w",), {"w": 1.0}),
+            trajectories=tuple(violations),
+            env_trajectories=("e",),
+            interaction=rb.InteractionModel({(t, "w"): "e" for t in violations}),
+            rulebook=rb.Rulebook(
+                (rb.Rule("r", {(t, "e"): v for t, v in violations.items()}),),
+                rb.build_preorder(["r"], []),
+            ),
+            risk_configs={"r": rb.RiskConfig(rb.RiskMeasure.expected(), 0.0)},
+        )
+        report = run_check(inst)
+        preorder = {r.name: r for r in report.results}["trajectory-preorder"]
+        assert not report.ok
+        assert preorder.status == "fail"
+        assert "(a, b, c)" in preorder.detail
+
     def test_json_rendering(self, av):
         payload = json.loads(render_check(run_check(av), as_json=True))
         assert payload["ok"] is True
-        assert any(r["name"] == "priority-closure" for r in payload["results"])
+        assert any(r["name"] == "trajectory-preorder" for r in payload["results"])
