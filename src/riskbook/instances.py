@@ -112,10 +112,13 @@ def instance_from_dict(doc: Any) -> Instance:
         for i, e in enumerate(_expect_list(doc["environment_trajectories"], "environment_trajectories"))
     )
 
+    # Table cells are many, so their JSON path is spelled out only on failure.
     responses: dict[tuple[str, str], str] = {}
     for traj, row in _expect_object(doc["interaction"], "interaction").items():
         for scenario, env in _expect_object(row, f"interaction.{traj}").items():
-            responses[(traj, scenario)] = _expect_str(env, f"interaction.{traj}.{scenario}")
+            if not isinstance(env, str):
+                _expect_str(env, f"interaction.{traj}.{scenario}")
+            responses[(traj, scenario)] = env
 
     rules: list[Rule] = []
     risk_configs: dict[str, RiskConfig] = {}
@@ -126,7 +129,9 @@ def instance_from_dict(doc: Any) -> Instance:
         table: dict[tuple[str, str], float] = {}
         for traj, row in _expect_object(entry.get("violations"), f"{path}.violations").items():
             for env, value in _expect_object(row, f"{path}.violations.{traj}").items():
-                table[(traj, env)] = _expect_number(value, f"{path}.violations.{traj}.{env}")
+                if type(value) is not float:
+                    value = _expect_number(value, f"{path}.violations.{traj}.{env}")
+                table[(traj, env)] = value
         rules.append(_built(path, Rule, rid, table))
         risk_doc = _expect_object(entry.get("risk"), f"{path}.risk")
         for key in risk_doc:

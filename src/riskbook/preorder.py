@@ -11,7 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from functools import cached_property
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence
 
 from .errors import DuplicateElement, UnknownElement, require_unique
 
@@ -75,6 +77,21 @@ class Preorder:
                 if not above[b] <= reach:
                     raise ValueError(f"relation is not transitive at ({a!r}, {b!r})")
 
+    def __reduce__(self):
+        # Rebuilt through the constructor, which re-validates and drops cached views.
+        return Preorder, (self.elements, self.relation)
+
+    @cached_property
+    def strictly_above(self) -> Mapping[str, frozenset[str]]:
+        """For each element ``x``, every ``y`` with ``(y, x)`` in the relation but
+        not ``(x, y)``: the elements strictly higher than ``x``.  Computed once
+        per preorder; the compensation rule reads it instead of :meth:`compare`."""
+        above: dict[str, set[str]] = {a: set() for a in self.elements}
+        for hi, lo in self.relation:
+            if (lo, hi) not in self.relation:
+                above[lo].add(hi)
+        return MappingProxyType({a: frozenset(higher) for a, higher in above.items()})
+
     def _require(self, *ids: str) -> None:
         # The relation is reflexive, so it holds (x, x) exactly for declared x.
         for x in ids:
@@ -88,7 +105,8 @@ class Preorder:
 
     def strictly_higher(self, a: str, b: str) -> bool:
         """True when a is at least as high as b but not conversely."""
-        return self.compare(a, b) is Verdict.HIGHER
+        self._require(a, b)
+        return a in self.strictly_above[b]
 
     def compare(self, a: str, b: str) -> Verdict:
         """Four-way comparison of a against b."""
@@ -104,11 +122,8 @@ class Preorder:
         the order of ``subset`` and is nonempty whenever ``subset`` is.
         """
         self._require(*subset)
-        return [
-            a
-            for a in subset
-            if not any(self.compare(a, b) is Verdict.HIGHER for b in subset if b != a)
-        ]
+        above = self.strictly_above
+        return [a for a in subset if not any(a in above[b] for b in subset)]
 
 
 def build_preorder(elements: Sequence[str], priority_edges: Iterable[tuple[str, str]]) -> Preorder:

@@ -2,15 +2,25 @@
 
 A scenario is just an identifier; a :class:`RandomCost` assigns a
 nonnegative cost to each one.  Probabilities are plain doubles validated to
-sum to one within the package tolerance.  A space keeps a read-only copy of
-the probabilities it was given, so it stays valid once built.
+sum to one within the package tolerance.  A space and a cost each keep a
+read-only copy of the table they were given, so they stay valid once built.
+
+A distribution is built from groups of scenarios that share one value:
+:func:`distribution` groups a cost's scenarios by value, and the compiled
+evaluation in :mod:`riskbook.riskaware` groups a trajectory's scenarios by
+the environment response they trigger.  Both feed one atom builder, whose
+atoms are exactly those of sorting every (value, probability) pair and
+merging values within tolerance, down to the order of each sum and the sign
+of a zero.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, groupby
+from operator import itemgetter
 from types import MappingProxyType
-from typing import Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .errors import DomainMismatch, UnknownScenario, ValidationError, require_unique
 from .tolerance import TOL, eq, ge, gt, le, lt
@@ -48,6 +58,10 @@ class FiniteProbSpace:
         if abs(total - 1.0) > TOL:
             raise ValidationError(f"probabilities sum to {total!r}, expected 1")
 
+    def __reduce__(self):
+        # Rebuilt through the constructor, so an unpickled space is re-validated.
+        return FiniteProbSpace, (self.scenarios, dict(self.probs))
+
     def prob(self, scenario: str) -> float:
         try:
             return self.probs[scenario]
@@ -57,14 +71,18 @@ class FiniteProbSpace:
 
 @dataclass(frozen=True)
 class RandomCost:
-    """A scenario-indexed nonnegative cost."""
+    """A scenario-indexed nonnegative cost, kept as a read-only copy."""
 
     values: Mapping[str, float]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "values", MappingProxyType(dict(self.values)))
         for omega, v in self.values.items():
             if not v >= 0:  # also rejects NaN
                 raise ValidationError(f"cost at scenario {omega!r} is negative")
+
+    def __reduce__(self):
+        return RandomCost, (dict(self.values),)
 
     def value(self, scenario: str) -> float:
         try:
@@ -113,15 +131,56 @@ def distribution(space: FiniteProbSpace, f: RandomCost) -> list[tuple[float, flo
     the result reflects only outcomes that can actually occur.
     """
     _check_domain(space, f)
-    pairs = sorted(
-        (f.values[omega], space.probs[omega])
-        for omega in space.scenarios
-        if space.probs[omega] > 0
-    )
+    order, probabilities = _ascending([space.probs[omega] for omega in space.scenarios])
+    by_value: dict[float, list[int]] = {}
+    for i, k in enumerate(order):
+        # Keys are met in ascending order, so a group of 0.0 and -0.0 is keyed
+        # by the zero that sorting the pairs would put first.
+        by_value.setdefault(f.values[space.scenarios[k]], []).append(i)
+    groups = [(v, positions, _total(probabilities, positions)) for v, positions in by_value.items()]
+    return _atoms(groups, probabilities)
+
+
+def _ascending(probs: Sequence[float]) -> tuple[list[int], list[float]]:
+    """The positive-probability scenarios in ascending (probability, index)
+    order, which is the order sorting (value, probability) pairs gives the
+    scenarios of one value, as their indices and their probabilities.  A
+    group of scenarios is held as ascending positions in this order."""
+    ascending = sorted((p, k) for k, p in enumerate(probs) if p > 0)
+    return [k for _, k in ascending], [p for p, _ in ascending]
+
+
+def _total(probabilities: list[float], positions: Iterable[int], total: float = 0.0) -> float:
+    """``total`` plus the probabilities at ``positions``, added left to right."""
+    for i in positions:
+        total += probabilities[i]
+    return total
+
+
+def _atoms(groups: Iterable[tuple[float, list[int], float]], probabilities: list[float]) -> list[tuple[float, float]]:
+    """Atoms of a distribution given as groups of scenarios sharing one value,
+    each ``(value, positions, total)``: ascending positions in the order of
+    :func:`_ascending`, whose ``probabilities`` they index, and their
+    :func:`_total`.
+
+    The result equals sorting every scenario's ``(value, probability)`` pair
+    and merging, left to right, each value within tolerance of the current
+    atom's first value into that atom.  Groups of exactly equal value, such
+    as ``0.0`` and ``-0.0``, are interleaved by position as the sort would
+    interleave them, and the atom takes the value of the pair that comes first.
+    """
     atoms: list[tuple[float, float]] = []
-    for v, p in pairs:
-        if atoms and abs(v - atoms[-1][0]) <= TOL:
-            atoms[-1] = (atoms[-1][0], atoms[-1][1] + p)
+    for _, run in groupby(sorted(groups, key=itemgetter(0)), key=itemgetter(0)):
+        run = list(run)
+        if len(run) == 1:
+            value, positions, total = run[0]
         else:
-            atoms.append((v, p))
+            positions = sorted(chain.from_iterable(group for _, group, _ in run))
+            total = _total(probabilities, positions)
+            value = next(v for v, group, _ in run if group[0] == positions[0])
+        if atoms and abs(value - atoms[-1][0]) <= TOL:
+            anchor, mass = atoms[-1]
+            atoms[-1] = (anchor, _total(probabilities, positions, mass))
+        else:
+            atoms.append((value, total))
     return atoms

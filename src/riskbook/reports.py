@@ -152,15 +152,14 @@ class Explanation:
 
 
 def _disadvantages(instance: Instance, mine: dict[str, float], theirs: dict[str, float]):
-    priority = instance.rulebook.priority
+    above = instance.rulebook.priority.strictly_above
     out = []
     for rule_id in instance.rulebook.rule_ids:
         if lt(theirs[rule_id], mine[rule_id]):
             compensators = tuple(
                 other
                 for other in instance.rulebook.rule_ids
-                if priority.compare(other, rule_id) is Verdict.HIGHER
-                and lt(mine[other], theirs[other])
+                if other in above[rule_id] and lt(mine[other], theirs[other])
             )
             out.append(RuleDisadvantage(rule_id, mine[rule_id], theirs[rule_id], compensators))
     return tuple(out)

@@ -12,6 +12,12 @@ points whose sum lies within rounding of the minimum are then re-evaluated
 term by term, so the result does not depend on how the sums rounded.  A
 user-supplied callable can serve as a custom measure, in which case only
 spot checks of monotonicity are possible.
+
+Worst case, VaR and CVaR depend on a cost only through its distribution, so
+:func:`assess_support` takes the atoms directly; :func:`assess` builds them
+with :func:`~riskbook.probspace.distribution`, and the compiled evaluation
+in :mod:`riskbook.riskaware` builds the same atoms from scenarios grouped by
+environment response.
 """
 
 from __future__ import annotations
@@ -89,13 +95,6 @@ class RiskMeasure:
         return self.kind
 
 
-def _positive_support(space: FiniteProbSpace, f: RandomCost) -> list[tuple[float, float]]:
-    atoms = distribution(space, f)
-    if not atoms:
-        raise EmptySupport("no scenario has positive probability")
-    return atoms
-
-
 def _worst_case(atoms: list[tuple[float, float]]) -> float:
     return atoms[-1][0]
 
@@ -138,13 +137,21 @@ def assess(measure: RiskMeasure, space: FiniteProbSpace, f: RandomCost) -> float
     """
     if measure.kind == EXPECTED:
         return expectation(space, f)
+    if measure.kind == CUSTOM:
+        return measure.fn(space, f)
+    return assess_support(measure, distribution(space, f))
+
+
+def assess_support(measure: RiskMeasure, atoms: list[tuple[float, float]]) -> float:
+    """Risk under a worst-case, VaR or CVaR ``measure`` of the distribution
+    whose atoms :func:`~riskbook.probspace.distribution` gives."""
+    if not atoms:
+        raise EmptySupport("no scenario has positive probability")
     if measure.kind == WORST_CASE:
-        return _worst_case(_positive_support(space, f))
+        return _worst_case(atoms)
     if measure.kind == VAR:
-        return _value_at_risk(_positive_support(space, f), measure.alpha)
-    if measure.kind == CVAR:
-        return _cvar(_positive_support(space, f), measure.alpha)
-    return measure.fn(space, f)
+        return _value_at_risk(atoms, measure.alpha)
+    return _cvar(atoms, measure.alpha)
 
 
 def is_strictly_monotone_class(measure: RiskMeasure) -> bool:

@@ -20,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import wraps
+from itertools import groupby
+from operator import mul
 from types import MappingProxyType
 from typing import Mapping
 
@@ -33,8 +35,8 @@ from .errors import (
     require_unique,
 )
 from .preorder import Verdict
-from .probspace import FiniteProbSpace, RandomCost, exceedance_prob
-from .risk import RiskMeasure, assess, is_strictly_monotone_class
+from .probspace import FiniteProbSpace, RandomCost, _ascending, _atoms, _total, exceedance_prob
+from .risk import CUSTOM, EXPECTED, RiskMeasure, assess, assess_support, is_strictly_monotone_class
 from .rulebook import Realization, Rulebook, at_most_as_bad, compare_realizations
 from .tolerance import gt, le, lt
 
@@ -47,6 +49,9 @@ class InteractionModel:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "responses", MappingProxyType(dict(self.responses)))
+
+    def __reduce__(self):
+        return InteractionModel, (dict(self.responses),)
 
     def response(self, trajectory: str, scenario: str) -> str:
         try:
@@ -124,6 +129,11 @@ class Instance:
             if rule_id not in self.rulebook.rule_ids:
                 raise ValidationError(f"risk configuration given for unknown rule {rule_id!r}")
 
+    def __reduce__(self):
+        # Rebuilt through the constructor, so an unpickled instance is re-validated.
+        fields = (self.space, self.trajectories, self.env_trajectories, self.interaction, self.rulebook)
+        return Instance, (*fields, dict(self.risk_configs))
+
     def require_trajectory(self, trajectory: str) -> None:
         if trajectory not in self.trajectories:
             raise UnknownTrajectory(f"unknown system trajectory {trajectory!r}")
@@ -138,17 +148,6 @@ class Instance:
     def config(self, rule_id: str) -> RiskConfig:
         self.require_rule(rule_id)
         return self.risk_configs[rule_id]
-
-
-def induced_random_cost(instance: Instance, rule_id: str, trajectory: str) -> RandomCost:
-    """Scenario-indexed violation of ``rule_id`` when ``trajectory`` is driven,
-    read straight from the instance's tables, which are total and read-only."""
-    violations = instance.rulebook.rule(rule_id).violations
-    instance.require_trajectory(trajectory)
-    responses = instance.interaction.responses
-    return RandomCost(
-        {omega: violations[(trajectory, responses[(trajectory, omega)])] for omega in instance.space.scenarios}
-    )
 
 
 def _once(method):
@@ -167,19 +166,36 @@ def _once(method):
 class _Evaluation:
     """Every figure one call derives from an instance, each computed once.
 
-    Rules and trajectories are addressed by declaration index.  Figures are
-    computed on first use: a question about two trajectories builds and
-    assesses only their induced costs, while a matrix or an optimal set
-    assesses every (rule, trajectory) pair once.  The instance's tables are
-    read-only copies validated at construction, so nothing here re-checks
-    them.  An evaluation serves one top-level call and is not kept on the
-    instance, so its memory is released with the call.
+    The instance is compiled into integer-indexed tables: rules,
+    trajectories, scenarios and environment trajectories are addressed by
+    declaration index.  A rule's induced cost depends on the scenario only
+    through the environment response it triggers, so each trajectory gets
+    one response-index vector, and the cost of rule ``r`` under trajectory
+    ``t`` is the list ``row[e]`` over the scenarios' responses ``e``, where
+    ``row`` is ``r``'s violation row for ``t``.  Expected cost sums that list
+    against the probabilities scenario by scenario, in declaration order.
+    Worst case, VaR and CVaR read atoms built from ``t``'s positive-probability
+    scenarios grouped by response, so at most one group per environment
+    trajectory, grouped once per call.  Custom measures receive a
+    :class:`RandomCost`.
+
+    Figures are computed on first use: a question about two trajectories
+    builds and assesses only their induced costs, while a matrix or an
+    optimal set assesses every (rule, trajectory) pair once.  The instance's
+    tables are read-only copies validated at construction, so nothing here
+    re-checks them.  An evaluation serves one top-level call and is not kept
+    on the instance, so its memory is released with the call.
     """
 
     def __init__(self, instance: Instance) -> None:
         self.instance = instance
         self.rule_ids = instance.rulebook.rule_ids
         self.trajectories = instance.trajectories
+        self.scenarios = instance.space.scenarios
+        self.probs = [instance.space.probs[omega] for omega in self.scenarios]
+        self.positive = [k for k, p in enumerate(self.probs) if p > 0]
+        self._ascending, self._ascending_probs = _ascending(self.probs)
+        self._env_index = {env: e for e, env in enumerate(instance.env_trajectories)}
         self._memo: dict = {}
 
     def rule_index(self, rule_id: str) -> int:
@@ -190,14 +206,61 @@ class _Evaluation:
         self.instance.require_trajectory(trajectory)
         return self.trajectories.index(trajectory)
 
+    def scenario_index(self, scenario: str) -> int:
+        self.instance.require_scenario(scenario)
+        return self.scenarios.index(scenario)
+
     @_once
-    def cost(self, r: int, t: int) -> RandomCost:
-        return induced_random_cost(self.instance, self.rule_ids[r], self.trajectories[t])
+    def responses(self, t: int) -> list[int]:
+        """Index of the environment trajectory each scenario triggers under ``t``."""
+        table, trajectory, env_index = self.instance.interaction.responses, self.trajectories[t], self._env_index
+        return [env_index[table[(trajectory, omega)]] for omega in self.scenarios]
+
+    def _row(self, r: int, t: int) -> list[float]:
+        """Violation of rule ``r`` for each environment trajectory when ``t`` is driven."""
+        violations, trajectory = self.instance.rulebook.rules[r].violations, self.trajectories[t]
+        return [violations[(trajectory, env)] for env in self.instance.env_trajectories]
+
+    @_once
+    def cost(self, r: int, t: int) -> list[float]:
+        """Induced cost of rule ``r`` under ``t``, in scenario order."""
+        row = self._row(r, t)
+        return [row[e] for e in self.responses(t)]
+
+    def random_cost(self, r: int, t: int) -> RandomCost:
+        return RandomCost(dict(zip(self.scenarios, self.cost(r, t))))
+
+    @_once
+    def groups(self, t: int) -> list[tuple[int, list[int], float]]:
+        """``t``'s positive-probability scenarios grouped by the response they
+        trigger, as ``(response, positions, total)`` in the terms of
+        :func:`~riskbook.probspace._atoms`."""
+        responses = self.responses(t)
+        response_at = [responses[k] for k in self._ascending]
+        # A stable sort by response keeps each group's positions ascending.
+        by_response = sorted(range(len(response_at)), key=response_at.__getitem__)
+        groups = []
+        for e, group in groupby(by_response, key=response_at.__getitem__):
+            positions = list(group)
+            groups.append((e, positions, _total(self._ascending_probs, positions)))
+        return groups
 
     @_once
     def risk(self, r: int, t: int) -> float:
         measure = self.instance.risk_configs[self.rule_ids[r]].measure
-        return assess(measure, self.instance.space, self.cost(r, t))
+        if measure.kind == EXPECTED:
+            return sum(map(mul, self.probs, self.cost(r, t)))
+        if measure.kind == CUSTOM:
+            return assess(measure, self.instance.space, self.random_cost(r, t))
+        return assess_support(measure, self.atoms(r, t))
+
+    def atoms(self, r: int, t: int) -> list[tuple[float, float]]:
+        """Distribution of rule ``r``'s induced cost under ``t``, equal to what
+        :func:`~riskbook.probspace.distribution` gives, from at most one group
+        of scenarios per environment trajectory."""
+        row = self._row(r, t)
+        groups = [(row[e], positions, total) for e, positions, total in self.groups(t)]
+        return _atoms(groups, self._ascending_probs)
 
     def excess(self, r: int, t: int) -> float:
         return max(self.risk(r, t) - self.instance.risk_configs[self.rule_ids[r]].threshold, 0.0)
@@ -233,27 +296,30 @@ class _Evaluation:
         """Every rule that penalizes challenger ``c`` more than ``w`` on a
         positive-probability scenario set, with that set and its probability.
         One scan per pair serves every improving rule."""
-        scenario_ids, probs = self.instance.space.scenarios, self.instance.space.probs
         found = []
         for r in range(len(self.rule_ids)):
-            cost_c, cost_w = self.cost(r, c).values, self.cost(r, w).values
-            scenarios = tuple(
-                omega for omega in scenario_ids if probs[omega] > 0 and gt(cost_c[omega], cost_w[omega])
-            )
-            if scenarios:
-                found.append((r, scenarios, sum(probs[omega] for omega in scenarios)))
+            cost_c, cost_w = self.cost(r, c), self.cost(r, w)
+            worse = [k for k in self.positive if gt(cost_c[k], cost_w[k])]
+            if worse:
+                found.append((r, tuple(self.scenarios[k] for k in worse), sum(self.probs[k] for k in worse)))
         return found
 
     def witnesses(self, w: int, c: int, improving: int) -> list[TradeoffWitness]:
         """The compensations of ``c``'s improvement on ``w`` under rule
         ``improving`` by rules not strictly lower in priority, in declaration order."""
-        priority = self.instance.rulebook.priority
+        above = self.instance.rulebook.priority.strictly_above
         improving_rule = self.rule_ids[improving]
         return [
             TradeoffWitness(improving_rule, self.rule_ids[r], scenarios, probability)
             for r, scenarios, probability in self._compensating(w, c)
-            if priority.compare(self.rule_ids[r], improving_rule) is not Verdict.LOWER
+            if improving_rule not in above[self.rule_ids[r]]
         ]
+
+
+def induced_random_cost(instance: Instance, rule_id: str, trajectory: str) -> RandomCost:
+    """Scenario-indexed violation of ``rule_id`` when ``trajectory`` is driven."""
+    ev = _Evaluation(instance)
+    return ev.random_cost(ev.rule_index(rule_id), ev.trajectory_index(trajectory))
 
 
 def risk_of(instance: Instance, rule_id: str, trajectory: str) -> float:
@@ -441,7 +507,7 @@ def pointwise_case(
     r = ev.rule_index(rule_id)
     w = ev.trajectory_index(optimal_trajectory)
     c = ev.trajectory_index(challenger)
-    instance.require_scenario(scenario)
+    k = ev.scenario_index(scenario)
 
     for other_rule in instance.rulebook.rule_ids:
         measure = instance.risk_configs[other_rule].measure
@@ -451,9 +517,7 @@ def pointwise_case(
                 f"strictly monotone class; the pointwise analysis is unsound without it"
             )
 
-    cost_challenger = ev.cost(r, c)
-    cost_optimal = ev.cost(r, w)
-    if not lt(cost_challenger.values[scenario], cost_optimal.values[scenario]):
+    if not lt(ev.cost(r, c)[k], ev.cost(r, w)[k]):
         raise PreconditionViolated(
             f"trajectory {challenger!r} is not strictly better than {optimal_trajectory!r} "
             f"under rule {rule_id!r} at scenario {scenario!r}"
@@ -461,7 +525,7 @@ def pointwise_case(
     if w not in ev.optimal():
         raise PreconditionViolated(f"trajectory {optimal_trajectory!r} is not optimal")
 
-    advantage_probability = exceedance_prob(instance.space, cost_challenger, cost_optimal, "<")
+    advantage_probability = exceedance_prob(instance.space, ev.random_cost(r, c), ev.random_cost(r, w), "<")
     if advantage_probability == 0.0:
         return PointwiseAnalysis(PointwiseCase.NULL_ADVANTAGE, rule_id, advantage_probability)
 

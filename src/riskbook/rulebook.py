@@ -42,6 +42,10 @@ class Rule:
                     f"rule {self.id!r} has violation {v!r} at {key!r}; violations must be nonnegative"
                 )
 
+    def __reduce__(self):
+        # Rebuilt through the constructor, so an unpickled rule is re-validated.
+        return Rule, (self.id, dict(self.violations))
+
     def violation(self, x: Realization) -> float:
         try:
             return self.violations[(x.system_trajectory, x.env_trajectory)]
@@ -63,6 +67,10 @@ class Rulebook:
         require_unique(ids, "rule", DuplicateElement)
         if set(self.priority.elements) != set(ids):
             raise ValidationError("priority preorder must range over exactly the rule ids")
+
+    def __reduce__(self):
+        # Rebuilt through the constructor, which re-validates and drops cached views.
+        return Rulebook, (self.rules, self.priority)
 
     @cached_property
     def rule_ids(self) -> tuple[str, ...]:
@@ -92,17 +100,15 @@ def at_most_as_bad(
     """Whether cost profile ``a`` is at most as bad as ``b`` under ``priority``.
 
     Holds when for every rule penalizing ``a`` more than ``b`` there is a
-    strictly higher-priority rule penalizing ``b`` more than ``a``.
+    strictly higher-priority rule (one of ``priority.strictly_above``)
+    penalizing ``b`` more than ``a``.
     """
+    above = priority.strictly_above
     for rule_id in priority.elements:
-        if gt(costs_a[rule_id], costs_b[rule_id]):
-            compensated = any(
-                priority.compare(other, rule_id) is Verdict.HIGHER
-                and lt(costs_a[other], costs_b[other])
-                for other in priority.elements
-            )
-            if not compensated:
-                return False
+        if gt(costs_a[rule_id], costs_b[rule_id]) and not any(
+            lt(costs_a[other], costs_b[other]) for other in above[rule_id]
+        ):
+            return False
     return True
 
 

@@ -2,9 +2,12 @@
 
 ``tests/golden/`` holds the ``rank``, ``explain`` and ``check`` output, as
 text and as ``--json``, for the bundled instance (as shipped, and with the
-worst-case override on ``r1``) and for seeded ``instgen`` instances that mix
+worst-case override on ``r1``), for seeded ``instgen`` instances that mix
 all four measures, CVaR included, with strict, equal and incomparable rule
-priorities.  Any change of a report byte fails here.
+priorities, and for ``signed_zero``, a fixed instance whose worst-case, VaR
+and CVaR rules see ``0.0`` and ``-0.0`` violations, near-ties within 1e-9
+and tied probabilities, so that the sign of each reported zero and the order
+of each summed probability show.  Any change of a report byte fails here.
 
 Python 3.12 made ``sum()`` of floats compensated, which moves the last
 digits of some reported probabilities and expectations, so each summation
@@ -41,6 +44,7 @@ CASES = {
     "av_pedestrian": (BUNDLED, []),
     "av_pedestrian_worst_case": (BUNDLED, ["--rule", "r1", "--measure", "worst_case", "--threshold", "175"]),
     **{f"instgen_{seed}": (INSTANCES / f"instgen_{seed}.json", []) for seed in INSTGEN_SEEDS},
+    "signed_zero": (INSTANCES / "signed_zero.json", []),
 }
 COMMANDS = ("rank", "explain", "check")
 FORMATS = {"txt": [], "json": ["--json"]}

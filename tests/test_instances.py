@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import json
+import pickle
 
 import pytest
 
@@ -199,6 +200,10 @@ STORED_TABLES = {
         lambda av: av.risk_configs,
         lambda av, d: dataclasses.replace(av, risk_configs=d).risk_configs,
     ),
+    "RandomCost": (
+        lambda av: rb.induced_random_cost(av, "r1", "tau1").values,
+        lambda av, d: rb.RandomCost(d).values,
+    ),
 }
 
 
@@ -227,6 +232,47 @@ class TestImmutability:
         rule = rb.Rule("x", table)
         table[("t", "e")] = -3.0
         assert rule.violations[("t", "e")] == 1.0
+
+    def test_validated_cost_cannot_gain_a_negative_value(self):
+        values = {"a": 1.0}
+        cost = rb.RandomCost(values)
+        values["a"] = -3.0
+        assert rb.expectation(rb.FiniteProbSpace(("a",), {"a": 1.0}), cost) == 1.0
+
+
+class TestPickling:
+    """Validated objects pickle and deep-copy by rebuilding through their
+    constructors, so what is unpickled is validated again."""
+
+    OBJECTS = {
+        "Instance": lambda av: av,
+        "FiniteProbSpace": lambda av: av.space,
+        "InteractionModel": lambda av: av.interaction,
+        "Rule": lambda av: av.rulebook.rules[0],
+        "Rulebook": lambda av: av.rulebook,
+        "Preorder": lambda av: av.rulebook.priority,
+        "RandomCost": lambda av: rb.induced_random_cost(av, "r1", "tau1"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(OBJECTS))
+    def test_round_trip(self, av, name):
+        rb.run_rank(av)  # fills the cached views a pickle must not carry
+        original = self.OBJECTS[name](av)
+        for again in (pickle.loads(pickle.dumps(original)), copy.deepcopy(original)):
+            assert type(again) is type(original)
+            assert again == original
+
+    def test_rank_of_an_unpickled_instance_is_byte_identical(self, av):
+        expected = rb.reports.render_rank(rb.run_rank(av), as_json=True)
+        again = pickle.loads(pickle.dumps(av))
+        assert rb.reports.render_rank(rb.run_rank(again), as_json=True) == expected
+
+    def test_unpickling_goes_through_validation(self, av):
+        make, (rule_id, table) = av.rulebook.rules[0].__reduce__()
+        assert make is rb.Rule
+        table[next(iter(table))] = -3.0
+        with pytest.raises(rb.ValidationError, match="nonnegative"):
+            make(rule_id, table)
 
 
 class TestOverrides:

@@ -1,9 +1,12 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import riskbook as rb
-from riskbook import FiniteProbSpace, RandomCost, distribution, exceedance_prob, expectation
+from riskbook import FiniteProbSpace, RandomCost, distribution, exceedance_prob, expectation, riskaware
+from riskbook.risk import assess_support
 
 AV_PROBS = {"w1": 0.98, "w2": 0.001, "w3": 0.009, "w4": 0.01}
 AV_SCENARIOS = ("w1", "w2", "w3", "w4")
@@ -105,6 +108,80 @@ class TestDistribution:
         atoms = distribution(sp, RandomCost({"a": 1.0, "b": 1.0 + 1e-12}))
         assert len(atoms) == 1
         assert atoms[0][1] == pytest.approx(1.0, abs=1e-9)
+
+
+def sorted_pairs_atoms(pairs):
+    """Reference atoms: sort the positive-probability (value, probability)
+    pairs, then merge each value within tolerance of the current atom's first
+    value into that atom, left to right."""
+    atoms = []
+    for v, p in sorted((v, p) for v, p in pairs if p > 0):
+        if atoms and abs(v - atoms[-1][0]) <= rb.TOL:
+            atoms[-1] = (atoms[-1][0], atoms[-1][1] + p)
+        else:
+            atoms.append((v, p))
+    return atoms
+
+
+# Exact ties, near-ties within and across 1e-9, and zeros of both signs.
+TIED_VALUES = (0.0, -0.0, 0.0, -0.0, 4e-10, 1.0, 1.0 + 6e-10, 1.0 + 1.2e-9, 1.0 + 2e-9, 2.0, 2.0, 7.5)
+
+
+def random_space(rng, n):
+    """Probabilities with exact ties and some zeros, summing to one within TOL."""
+    while True:
+        weights = [rng.choice((0, 1, 1, 2, 3, rng.random())) for _ in range(n)]
+        if sum(weights) > 0:
+            break
+    ids = tuple(f"w{i}" for i in range(n))
+    return FiniteProbSpace(ids, {w: x / sum(weights) for w, x in zip(ids, weights)})
+
+
+def same_atoms(actual, expected):
+    """Bit-for-bit equality, so ``0.0`` and ``-0.0`` count as different."""
+    return actual == expected and repr(actual) == repr(expected)
+
+
+class TestGroupedAtoms:
+    """The grouped atom builder against the sorted-pairs reference above."""
+
+    def test_distribution_groups_by_value(self):
+        rng = random.Random(11)
+        for _ in range(1500):
+            space = random_space(rng, rng.randint(1, 14))
+            values = {w: rng.choice(TIED_VALUES) for w in space.scenarios}
+            expected = sorted_pairs_atoms((values[w], space.probs[w]) for w in space.scenarios)
+            assert same_atoms(distribution(space, RandomCost(values)), expected)
+
+    def test_evaluation_groups_by_response(self):
+        rng = random.Random(12)
+        for _ in range(150):
+            space = random_space(rng, rng.randint(1, 24))
+            envs = tuple(f"e{i}" for i in range(rng.randint(1, 6)))
+            trajectories = ("t0", "t1", "t2")
+            rules = [
+                rb.Rule(f"r{i}", {(t, e): rng.choice(TIED_VALUES) for t in trajectories for e in envs})
+                for i in range(4)
+            ]
+            measures = [rb.RiskMeasure.worst_case(), rb.RiskMeasure.var(0.5), rb.RiskMeasure.cvar(0.8)]
+            instance = rb.Instance(
+                space,
+                trajectories,
+                envs,
+                rb.InteractionModel({(t, w): rng.choice(envs) for t in trajectories for w in space.scenarios}),
+                rb.Rulebook(tuple(rules), rb.build_preorder([r.id for r in rules], [])),
+                {r.id: rb.RiskConfig(measures[i % 3], 0.0) for i, r in enumerate(rules)},
+            )
+            ev = riskaware._Evaluation(instance)
+            for r, rule in enumerate(rules):
+                for t, trajectory in enumerate(trajectories):
+                    expected = sorted_pairs_atoms(
+                        (rule.violations[(trajectory, instance.interaction.responses[(trajectory, w)])], space.probs[w])
+                        for w in space.scenarios
+                    )
+                    assert same_atoms(ev.atoms(r, t), expected)
+                    reference = assess_support(instance.risk_configs[rule.id].measure, expected)
+                    assert repr(ev.risk(r, t)) == repr(reference)
 
 
 # hypothesis strategies for the numeric invariants

@@ -348,9 +348,9 @@ class TestStructuralProperties:
 
 
 class TestOperationCounts:
-    """Counts of induced cost builds and risk assessments, made where the
-    evaluation looks them up, on a seeded T10/R6 instance with four optimal
-    trajectories and many witnessed tradeoffs."""
+    """Counts of induced cost builds and risk assessments, made beneath the
+    evaluation's per-call memo where each one is computed, on a seeded T10/R6
+    instance with four optimal trajectories and many witnessed tradeoffs."""
 
     RULES, TRAJECTORIES = 6, 10
 
@@ -378,19 +378,20 @@ class TestOperationCounts:
     @pytest.fixture()
     def counts(self, monkeypatch):
         counts = Counter()
-        build, assess = riskaware.induced_random_cost, riskaware.assess
+        evaluation = riskaware._Evaluation
+        build, assess = evaluation.cost.__wrapped__, evaluation.risk.__wrapped__
 
-        def counting_build(instance, rule_id, trajectory):
-            counts[(rule_id, trajectory)] += 1
+        def counting_build(ev, r, t):
+            counts[(r, t)] += 1
             counts["builds"] += 1
-            return build(instance, rule_id, trajectory)
+            return build(ev, r, t)
 
-        def counting_assess(measure, space, f):
+        def counting_assess(ev, r, t):
             counts["assessments"] += 1
-            return assess(measure, space, f)
+            return assess(ev, r, t)
 
-        monkeypatch.setattr(riskaware, "induced_random_cost", counting_build)
-        monkeypatch.setattr(riskaware, "assess", counting_assess)
+        monkeypatch.setattr(evaluation, "cost", riskaware._once(counting_build))
+        monkeypatch.setattr(evaluation, "risk", riskaware._once(counting_assess))
         return counts
 
     def test_rank_builds_and_assesses_each_pair_at_most_once(self, instance, counts):
@@ -417,3 +418,15 @@ class TestOperationCounts:
             witness = tradeoff_witness(instance, e.optimal_trajectory, e.challenger, e.improving_rule)
             assert witness == e.witnesses[0]
             assert counts["builds"] <= 2 * self.RULES
+
+    def test_rank_makes_no_priority_comparisons(self, instance, monkeypatch):
+        calls = Counter()
+        compare = rb.Preorder.compare
+
+        def counting_compare(priority, a, b):
+            calls["compare"] += 1
+            return compare(priority, a, b)
+
+        monkeypatch.setattr(rb.Preorder, "compare", counting_compare)
+        assert len(reports.run_rank(instance).explanations) == 77
+        assert calls["compare"] == 0
