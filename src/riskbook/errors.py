@@ -5,6 +5,8 @@ can catch one type at an API boundary.  Identifier-lookup failures share the
 :class:`UnknownElement` base.
 """
 
+from dataclasses import fields
+from types import MappingProxyType
 from typing import Iterable
 
 
@@ -75,3 +77,10 @@ def require_unique(ids: Iterable[str], what: str, error: type[RiskbookError]) ->
         if x in seen:
             raise error(f"{what} {x!r} is declared more than once; identifiers must be unique")
         seen.add(x)
+
+
+def rebuild(obj) -> tuple:
+    """``__reduce__`` of a validated dataclass: a pickle or deep copy calls the
+    class with every field, read-only tables as dicts, so it is validated again."""
+    values = (getattr(obj, f.name) for f in fields(obj))
+    return type(obj), tuple(dict(v) if isinstance(v, MappingProxyType) else v for v in values)

@@ -15,7 +15,7 @@ from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
-from .errors import DuplicateElement, UnknownElement, require_unique
+from .errors import DuplicateElement, UnknownElement, rebuild, require_unique
 
 
 class Verdict(Enum):
@@ -77,9 +77,7 @@ class Preorder:
                 if not above[b] <= reach:
                     raise ValueError(f"relation is not transitive at ({a!r}, {b!r})")
 
-    def __reduce__(self):
-        # Rebuilt through the constructor, which re-validates and drops cached views.
-        return Preorder, (self.elements, self.relation)
+    __reduce__ = rebuild
 
     @cached_property
     def strictly_above(self) -> Mapping[str, frozenset[str]]:

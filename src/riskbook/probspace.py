@@ -6,10 +6,11 @@ sum to one within the package tolerance.  A space and a cost each keep a
 read-only copy of the table they were given, so they stay valid once built.
 
 A distribution is built from groups of scenarios that share one value:
-:func:`distribution` groups a cost's scenarios by value, and the compiled
-evaluation in :mod:`riskbook.riskaware` groups a trajectory's scenarios by
-the environment response they trigger.  Both feed one atom builder, whose
-atoms are exactly those of sorting every (value, probability) pair and
+:func:`distribution` passes each positive-probability scenario as a group of
+its own, and the compiled evaluation in :mod:`riskbook.riskaware` groups a
+trajectory's scenarios by the environment response they trigger.  Both feed
+one atom builder, which alone merges equal values and picks a zero's sign:
+its atoms are exactly those of sorting every (value, probability) pair and
 merging values within tolerance, down to the order of each sum and the sign
 of a zero.
 """
@@ -22,7 +23,7 @@ from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
-from .errors import DomainMismatch, UnknownScenario, ValidationError, require_unique
+from .errors import DomainMismatch, UnknownScenario, ValidationError, rebuild, require_unique
 from .tolerance import TOL, eq, ge, gt, le, lt
 
 # Relation tokens accepted by exceedance_prob; unicode forms map to ASCII.
@@ -58,9 +59,7 @@ class FiniteProbSpace:
         if abs(total - 1.0) > TOL:
             raise ValidationError(f"probabilities sum to {total!r}, expected 1")
 
-    def __reduce__(self):
-        # Rebuilt through the constructor, so an unpickled space is re-validated.
-        return FiniteProbSpace, (self.scenarios, dict(self.probs))
+    __reduce__ = rebuild
 
     def prob(self, scenario: str) -> float:
         try:
@@ -81,8 +80,7 @@ class RandomCost:
             if not v >= 0:  # also rejects NaN
                 raise ValidationError(f"cost at scenario {omega!r} is negative")
 
-    def __reduce__(self):
-        return RandomCost, (dict(self.values),)
+    __reduce__ = rebuild
 
     def value(self, scenario: str) -> float:
         try:
@@ -132,12 +130,7 @@ def distribution(space: FiniteProbSpace, f: RandomCost) -> list[tuple[float, flo
     """
     _check_domain(space, f)
     order, probabilities = _ascending([space.probs[omega] for omega in space.scenarios])
-    by_value: dict[float, list[int]] = {}
-    for i, k in enumerate(order):
-        # Keys are met in ascending order, so a group of 0.0 and -0.0 is keyed
-        # by the zero that sorting the pairs would put first.
-        by_value.setdefault(f.values[space.scenarios[k]], []).append(i)
-    groups = [(v, positions, _total(probabilities, positions)) for v, positions in by_value.items()]
+    groups = [(f.values[space.scenarios[k]], [i], probabilities[i]) for i, k in enumerate(order)]
     return _atoms(groups, probabilities)
 
 

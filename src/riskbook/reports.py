@@ -4,6 +4,9 @@ Every report is a frozen dataclass plus a pair of renderers: a fixed-width
 human table and a JSON form.  Rows follow declaration order and numbers use
 shortest round-trip decimal formatting, so two runs over the same instance
 produce byte-identical output.
+
+Reports compare nothing: they assemble what one evaluation decided, so the
+rationale they print is the comparison each verdict was read from.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ from itertools import chain
 from .preorder import Verdict
 from .risk import CUSTOM, spot_check_monotonicity
 from .riskaware import Instance, TradeoffWitness, _Evaluation
-from .tolerance import le, lt
 
 _CHECK_OK = "ok"
 _CHECK_FAIL = "fail"
@@ -57,17 +59,14 @@ class RankingReport:
 
 
 def _tradeoffs(ev: _Evaluation, winner: int, challenger: int) -> list[TradeoffExplanation]:
-    """Witnessed improvements of ``challenger`` over the optimal ``winner``, in rule order."""
-    mine, theirs = ev.profile(winner), ev.profile(challenger)
-    out = []
-    for r, rule_id in enumerate(ev.rule_ids):
-        if lt(theirs[rule_id], mine[rule_id]):
-            witnesses = tuple(ev.witnesses(winner, challenger, r))
-            if witnesses:
-                out.append(
-                    TradeoffExplanation(ev.trajectories[winner], ev.trajectories[challenger], rule_id, witnesses)
-                )
-    return out
+    """Witnessed improvements of ``challenger`` over the optimal ``winner``, on
+    the rules ``winner`` is worse on, in rule order."""
+    names = ev.trajectories[winner], ev.trajectories[challenger]
+    return [
+        TradeoffExplanation(*names, rule_id, witnesses)
+        for rule_id in ev.comparison(winner, challenger)[0]
+        if (witnesses := tuple(ev.witnesses(winner, challenger, rule_id)))
+    ]
 
 
 def run_rank(instance: Instance) -> RankingReport:
@@ -120,11 +119,11 @@ class RiskTable:
 
 def run_risk_table(instance: Instance, rule_id: str) -> RiskTable:
     """Risk of every trajectory with respect to one rule."""
-    config = instance.config(rule_id)
+    r = instance.require_rule(rule_id)
+    config = instance.risk_configs[rule_id]
     ev = _Evaluation(instance)
-    r = ev.rule_index(rule_id)
     rows = tuple(
-        RiskTableRow(trajectory, ev.risk(r, t), ev.excess(r, t), le(ev.excess(r, t), 0.0))
+        RiskTableRow(trajectory, ev.risk(r, t), ev.excess(r, t), ev.within_threshold(r, t))
         for t, trajectory in enumerate(ev.trajectories)
     )
     return RiskTable(rule_id, config.measure.describe(), config.threshold, rows)
@@ -151,18 +150,14 @@ class Explanation:
     tradeoffs: tuple[TradeoffExplanation, ...]
 
 
-def _disadvantages(instance: Instance, mine: dict[str, float], theirs: dict[str, float]):
-    above = instance.rulebook.priority.strictly_above
-    out = []
-    for rule_id in instance.rulebook.rule_ids:
-        if lt(theirs[rule_id], mine[rule_id]):
-            compensators = tuple(
-                other
-                for other in instance.rulebook.rule_ids
-                if other in above[rule_id] and lt(mine[other], theirs[other])
-            )
-            out.append(RuleDisadvantage(rule_id, mine[rule_id], theirs[rule_id], compensators))
-    return tuple(out)
+def _disadvantages(ev: _Evaluation, mine: int, theirs: int) -> tuple[RuleDisadvantage, ...]:
+    """The rules ``mine`` is worse on, each compensated by the rules strictly
+    above it that ``theirs`` is worse on, in rule order."""
+    worse, better, _, _ = ev.comparison(mine, theirs)
+    above, excess, other = ev.above, ev.profile(mine), ev.profile(theirs)
+    return tuple(
+        RuleDisadvantage(r, excess[r], other[r], tuple(c for c in better if c in above[r])) for r in worse
+    )
 
 
 def run_explain(instance: Instance, first: str, second: str) -> Explanation:
@@ -173,16 +168,16 @@ def run_explain(instance: Instance, first: str, second: str) -> Explanation:
     the positive-probability witnesses behind each improvement the other
     side shows against it.
     """
+    a, b = instance.require_trajectory(first), instance.require_trajectory(second)
     ev = _Evaluation(instance)
-    a, b = ev.trajectory_index(first), ev.trajectory_index(second)
     optimal = ev.optimal()
     return Explanation(
         first=first,
         second=second,
         verdict=ev.verdict(a, b),
         excesses={first: ev.profile(a), second: ev.profile(b)},
-        first_worse=_disadvantages(instance, ev.profile(a), ev.profile(b)),
-        second_worse=_disadvantages(instance, ev.profile(b), ev.profile(a)),
+        first_worse=_disadvantages(ev, a, b),
+        second_worse=_disadvantages(ev, b, a),
         tradeoffs=tuple(
             e for w, c in ((a, b), (b, a)) if w in optimal for e in _tradeoffs(ev, w, c)
         ),
@@ -213,7 +208,7 @@ def run_check(instance: Instance) -> CheckReport:
     ev = _Evaluation(instance)
     names = instance.trajectories
     n = range(len(names))
-    leq = [[ev.at_most_as_risky(a, b) for b in n] for a in n]
+    leq = [[ev.comparison(a, b)[2] for b in n] for a in n]
     counterexamples = chain(
         (f"not reflexive at {names[t]}: not at most as risky as itself" for t in n if not leq[t][t]),
         (

@@ -29,15 +29,18 @@ from .errors import (
     AssumptionUnmet,
     NoWitness,
     PreconditionViolated,
+    UnknownElement,
+    UnknownRule,
     UnknownScenario,
     UnknownTrajectory,
     ValidationError,
+    rebuild,
     require_unique,
 )
 from .preorder import Verdict
 from .probspace import FiniteProbSpace, RandomCost, _ascending, _atoms, _total, exceedance_prob
 from .risk import CUSTOM, EXPECTED, RiskMeasure, assess, assess_support, is_strictly_monotone_class
-from .rulebook import Realization, Rulebook, at_most_as_bad, compare_realizations
+from .rulebook import Realization, Rulebook, compare_profiles, compare_realizations
 from .tolerance import gt, le, lt
 
 
@@ -50,8 +53,7 @@ class InteractionModel:
     def __post_init__(self) -> None:
         object.__setattr__(self, "responses", MappingProxyType(dict(self.responses)))
 
-    def __reduce__(self):
-        return InteractionModel, (dict(self.responses),)
+    __reduce__ = rebuild
 
     def response(self, trajectory: str, scenario: str) -> str:
         try:
@@ -85,6 +87,13 @@ def _require_grid(table: Mapping, rows: tuple[str, ...], columns: tuple[str, ...
     if len(table) != len(rows) * len(columns):
         key = next((r, c) for r in rows for c in columns if (r, c) not in table)
         raise ValidationError(f"{owner} is missing an entry for {key!r}")
+
+
+def _declared(ids: tuple[str, ...], x: str, error: type[UnknownElement], what: str) -> int:
+    try:
+        return ids.index(x)
+    except ValueError:
+        raise error(f"unknown {what} {x!r}") from None
 
 
 @dataclass(frozen=True)
@@ -129,21 +138,16 @@ class Instance:
             if rule_id not in self.rulebook.rule_ids:
                 raise ValidationError(f"risk configuration given for unknown rule {rule_id!r}")
 
-    def __reduce__(self):
-        # Rebuilt through the constructor, so an unpickled instance is re-validated.
-        fields = (self.space, self.trajectories, self.env_trajectories, self.interaction, self.rulebook)
-        return Instance, (*fields, dict(self.risk_configs))
+    __reduce__ = rebuild
 
-    def require_trajectory(self, trajectory: str) -> None:
-        if trajectory not in self.trajectories:
-            raise UnknownTrajectory(f"unknown system trajectory {trajectory!r}")
+    def require_trajectory(self, trajectory: str) -> int:
+        return _declared(self.trajectories, trajectory, UnknownTrajectory, "system trajectory")
 
-    def require_rule(self, rule_id: str) -> None:
-        self.rulebook.rule(rule_id)
+    def require_rule(self, rule_id: str) -> int:
+        return _declared(self.rulebook.rule_ids, rule_id, UnknownRule, "rule")
 
-    def require_scenario(self, scenario: str) -> None:
-        if scenario not in self.space.scenarios:
-            raise UnknownScenario(f"unknown scenario {scenario!r}")
+    def require_scenario(self, scenario: str) -> int:
+        return _declared(self.space.scenarios, scenario, UnknownScenario, "scenario")
 
     def config(self, rule_id: str) -> RiskConfig:
         self.require_rule(rule_id)
@@ -179,6 +183,10 @@ class _Evaluation:
     trajectory, grouped once per call.  Custom measures receive a
     :class:`RandomCost`.
 
+    Safety under one rule is one test, :meth:`within_threshold`.  Every
+    verdict, and every rationale a report gives for one, reads the one
+    comparison of two trajectories' excess profiles, :meth:`comparison`.
+
     Figures are computed on first use: a question about two trajectories
     builds and assesses only their induced costs, while a matrix or an
     optimal set assesses every (rule, trajectory) pair once.  The instance's
@@ -196,19 +204,8 @@ class _Evaluation:
         self.positive = [k for k, p in enumerate(self.probs) if p > 0]
         self._ascending, self._ascending_probs = _ascending(self.probs)
         self._env_index = {env: e for e, env in enumerate(instance.env_trajectories)}
+        self.above = instance.rulebook.priority.strictly_above
         self._memo: dict = {}
-
-    def rule_index(self, rule_id: str) -> int:
-        self.instance.require_rule(rule_id)
-        return self.rule_ids.index(rule_id)
-
-    def trajectory_index(self, trajectory: str) -> int:
-        self.instance.require_trajectory(trajectory)
-        return self.trajectories.index(trajectory)
-
-    def scenario_index(self, scenario: str) -> int:
-        self.instance.require_scenario(scenario)
-        return self.scenarios.index(scenario)
 
     @_once
     def responses(self, t: int) -> list[int]:
@@ -269,18 +266,26 @@ class _Evaluation:
     def profile(self, t: int) -> dict[str, float]:
         return {rule_id: self.excess(r, t) for r, rule_id in enumerate(self.rule_ids)}
 
+    def within_threshold(self, r: int, t: int) -> bool:
+        """Whether ``t``'s risk under rule ``r`` stays within the rule's threshold."""
+        return le(self.excess(r, t), 0.0)
+
     def safe(self, t: int) -> bool:
-        return all(le(self.excess(r, t), 0.0) for r in range(len(self.rule_ids)))
+        return all(self.within_threshold(r, t) for r in range(len(self.rule_ids)))
 
     @_once
-    def at_most_as_risky(self, a: int, b: int) -> bool:
-        return at_most_as_bad(self.instance.rulebook.priority, self.profile(a), self.profile(b))
+    def comparison(self, a: int, b: int) -> tuple[tuple[str, ...], tuple[str, ...], bool, bool]:
+        """:func:`~riskbook.rulebook.compare_profiles` of ``a``'s and ``b``'s
+        excess profiles in rule order, computed once per unordered pair."""
+        if a > b:
+            worse_b, worse_a, b_le_a, a_le_b = self.comparison(b, a)
+            return worse_a, worse_b, a_le_b, b_le_a
+        return compare_profiles(self.instance.rulebook.priority, self.rule_ids, self.profile(a), self.profile(b))
 
     def verdict(self, a: int, b: int) -> Verdict:
         """``LOWER`` when ``a`` is strictly less risky than ``b``."""
-        return Verdict.from_directions(
-            forward=self.at_most_as_risky(b, a), backward=self.at_most_as_risky(a, b)
-        )
+        _, _, a_le_b, b_le_a = self.comparison(a, b)
+        return Verdict.from_directions(forward=b_le_a, backward=a_le_b)
 
     def matrix(self) -> dict[tuple[str, str], Verdict]:
         n = range(len(self.trajectories))
@@ -304,45 +309,43 @@ class _Evaluation:
                 found.append((r, tuple(self.scenarios[k] for k in worse), sum(self.probs[k] for k in worse)))
         return found
 
-    def witnesses(self, w: int, c: int, improving: int) -> list[TradeoffWitness]:
-        """The compensations of ``c``'s improvement on ``w`` under rule
-        ``improving`` by rules not strictly lower in priority, in declaration order."""
-        above = self.instance.rulebook.priority.strictly_above
-        improving_rule = self.rule_ids[improving]
+    def witnesses(self, w: int, c: int, improving_rule: str) -> list[TradeoffWitness]:
+        """The compensations of ``c``'s improvement on ``w`` under
+        ``improving_rule`` by rules not strictly lower in priority, in declaration order."""
         return [
             TradeoffWitness(improving_rule, self.rule_ids[r], scenarios, probability)
             for r, scenarios, probability in self._compensating(w, c)
-            if improving_rule not in above[self.rule_ids[r]]
+            if improving_rule not in self.above[self.rule_ids[r]]
         ]
 
 
 def induced_random_cost(instance: Instance, rule_id: str, trajectory: str) -> RandomCost:
     """Scenario-indexed violation of ``rule_id`` when ``trajectory`` is driven."""
-    ev = _Evaluation(instance)
-    return ev.random_cost(ev.rule_index(rule_id), ev.trajectory_index(trajectory))
+    r, t = instance.require_rule(rule_id), instance.require_trajectory(trajectory)
+    return _Evaluation(instance).random_cost(r, t)
 
 
 def risk_of(instance: Instance, rule_id: str, trajectory: str) -> float:
     """Assessed risk of the induced cost under the rule's configured measure."""
-    ev = _Evaluation(instance)
-    return ev.risk(ev.rule_index(rule_id), ev.trajectory_index(trajectory))
+    r, t = instance.require_rule(rule_id), instance.require_trajectory(trajectory)
+    return _Evaluation(instance).risk(r, t)
 
 
 def risk_aware_violation(instance: Instance, rule_id: str, trajectory: str) -> float:
     """Excess of the rule's risk over its threshold, floored at zero."""
-    ev = _Evaluation(instance)
-    return ev.excess(ev.rule_index(rule_id), ev.trajectory_index(trajectory))
+    r, t = instance.require_rule(rule_id), instance.require_trajectory(trajectory)
+    return _Evaluation(instance).excess(r, t)
 
 
 def is_safe_wrt_rule(instance: Instance, rule_id: str, trajectory: str) -> bool:
     """Whether the trajectory's risk stays within the rule's threshold."""
-    return le(risk_aware_violation(instance, rule_id, trajectory), 0.0)
+    r, t = instance.require_rule(rule_id), instance.require_trajectory(trajectory)
+    return _Evaluation(instance).within_threshold(r, t)
 
 
 def is_safe(instance: Instance, trajectory: str) -> bool:
     """Whether the trajectory is within threshold for every rule."""
-    ev = _Evaluation(instance)
-    return ev.safe(ev.trajectory_index(trajectory))
+    return _Evaluation(instance).safe(instance.require_trajectory(trajectory))
 
 
 def safe_set(instance: Instance) -> list[str]:
@@ -353,15 +356,14 @@ def safe_set(instance: Instance) -> list[str]:
 
 def risk_aware_profile(instance: Instance, trajectory: str) -> dict[str, float]:
     """Excess-risk value for every rule, keyed by rule id."""
-    ev = _Evaluation(instance)
-    return ev.profile(ev.trajectory_index(trajectory))
+    return _Evaluation(instance).profile(instance.require_trajectory(trajectory))
 
 
 def no_riskier_than(instance: Instance, trajectory: str, other: str) -> bool:
     """One direction of the trajectory preorder: ``trajectory`` is at most as
     risky as ``other``."""
-    ev = _Evaluation(instance)
-    return ev.at_most_as_risky(ev.trajectory_index(trajectory), ev.trajectory_index(other))
+    a, b = instance.require_trajectory(trajectory), instance.require_trajectory(other)
+    return _Evaluation(instance).comparison(a, b)[2]
 
 
 def compare_trajectories(instance: Instance, trajectory: str, other: str) -> Verdict:
@@ -369,8 +371,8 @@ def compare_trajectories(instance: Instance, trajectory: str, other: str) -> Ver
 
     ``LOWER`` means the first trajectory is strictly less risky.
     """
-    ev = _Evaluation(instance)
-    return ev.verdict(ev.trajectory_index(trajectory), ev.trajectory_index(other))
+    a, b = instance.require_trajectory(trajectory), instance.require_trajectory(other)
+    return _Evaluation(instance).verdict(a, b)
 
 
 def compare_given_scenario(instance: Instance, trajectory: str, other: str, scenario: str) -> Verdict:
@@ -446,10 +448,10 @@ def tradeoff_witnesses(
     improving_rule: str,
 ) -> list[TradeoffWitness]:
     """Every compensating rule with its scenario set, in declaration order."""
+    r = instance.require_rule(improving_rule)
+    w = instance.require_trajectory(optimal_trajectory)
+    c = instance.require_trajectory(challenger)
     ev = _Evaluation(instance)
-    r = ev.rule_index(improving_rule)
-    w = ev.trajectory_index(optimal_trajectory)
-    c = ev.trajectory_index(challenger)
     v_challenger = ev.excess(r, c)
     v_optimal = ev.excess(r, w)
     if not lt(v_challenger, v_optimal):
@@ -457,7 +459,7 @@ def tradeoff_witnesses(
             f"trajectory {challenger!r} does not strictly improve on {optimal_trajectory!r} "
             f"under rule {improving_rule!r} ({v_challenger!r} vs {v_optimal!r})"
         )
-    return ev.witnesses(w, c, r)
+    return ev.witnesses(w, c, improving_rule)
 
 
 class PointwiseCase(Enum):
@@ -503,11 +505,11 @@ def pointwise_case(
     within the rule's threshold; or a not-lower-priority rule penalizes the
     challenger more with positive probability.
     """
+    r = instance.require_rule(rule_id)
+    w = instance.require_trajectory(optimal_trajectory)
+    c = instance.require_trajectory(challenger)
+    k = instance.require_scenario(scenario)
     ev = _Evaluation(instance)
-    r = ev.rule_index(rule_id)
-    w = ev.trajectory_index(optimal_trajectory)
-    c = ev.trajectory_index(challenger)
-    k = ev.scenario_index(scenario)
 
     for other_rule in instance.rulebook.rule_ids:
         measure = instance.risk_configs[other_rule].measure
@@ -529,18 +531,16 @@ def pointwise_case(
     if advantage_probability == 0.0:
         return PointwiseAnalysis(PointwiseCase.NULL_ADVANTAGE, rule_id, advantage_probability)
 
-    config = instance.risk_configs[rule_id]
-    risk_optimal = ev.risk(r, w)
-    if le(risk_optimal, config.threshold):
+    if ev.within_threshold(r, w):
         return PointwiseAnalysis(
             PointwiseCase.SAFE_AT_OPTIMUM,
             rule_id,
             advantage_probability,
-            risk_at_optimum=risk_optimal,
-            threshold=config.threshold,
+            risk_at_optimum=ev.risk(r, w),
+            threshold=instance.risk_configs[rule_id].threshold,
         )
 
-    found = ev.witnesses(w, c, r)
+    found = ev.witnesses(w, c, rule_id)
     if not found:
         raise NoWitness(
             f"no compensating rule found for the advantage of {challenger!r} over "

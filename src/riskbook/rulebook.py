@@ -3,10 +3,12 @@
 A realization pairs one system trajectory with one environment trajectory.
 Each rule scores realizations with a nonnegative degree of violation (zero
 means fully compliant), and a rulebook adds a priority preorder over the
-rules.  Comparison follows the compensation principle: one side is at most
-as bad as the other when every rule that penalizes it more is outweighed by
-a strictly higher-priority rule penalizing the other side more.  Equal-rank
-rules never compensate each other.
+rules.  Comparison follows the compensation principle, in two steps: one
+pass over the rules finds the rules that penalize each side more than the
+other, and a side is at most as bad as the other when each rule it is worse
+on has a strictly higher-priority rule that the other side is worse on.
+Equal-rank rules never compensate each other.  :func:`compare_profiles` is
+the package's only comparison of two cost or excess profiles.
 """
 
 from __future__ import annotations
@@ -14,9 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
-from .errors import DuplicateElement, UnknownRealization, UnknownRule, ValidationError, require_unique
+from .errors import DuplicateElement, UnknownRealization, UnknownRule, ValidationError, rebuild, require_unique
 from .preorder import Preorder, Verdict
 from .tolerance import gt, lt
 
@@ -42,9 +44,7 @@ class Rule:
                     f"rule {self.id!r} has violation {v!r} at {key!r}; violations must be nonnegative"
                 )
 
-    def __reduce__(self):
-        # Rebuilt through the constructor, so an unpickled rule is re-validated.
-        return Rule, (self.id, dict(self.violations))
+    __reduce__ = rebuild
 
     def violation(self, x: Realization) -> float:
         try:
@@ -68,22 +68,16 @@ class Rulebook:
         if set(self.priority.elements) != set(ids):
             raise ValidationError("priority preorder must range over exactly the rule ids")
 
-    def __reduce__(self):
-        # Rebuilt through the constructor, which re-validates and drops cached views.
-        return Rulebook, (self.rules, self.priority)
+    __reduce__ = rebuild
 
     @cached_property
     def rule_ids(self) -> tuple[str, ...]:
         return tuple(r.id for r in self.rules)
 
-    @cached_property
-    def _by_id(self) -> dict[str, Rule]:
-        return {r.id: r for r in self.rules}
-
     def rule(self, rule_id: str) -> Rule:
         try:
-            return self._by_id[rule_id]
-        except KeyError:
+            return self.rules[self.rule_ids.index(rule_id)]
+        except ValueError:
             raise UnknownRule(f"unknown rule {rule_id!r}") from None
 
 
@@ -92,24 +86,35 @@ def violation(rb: Rulebook, rule_id: str, x: Realization) -> float:
     return rb.rule(rule_id).violation(x)
 
 
+def compare_profiles(
+    priority: Preorder, rule_ids: Iterable[str], costs_a: Mapping[str, float], costs_b: Mapping[str, float]
+) -> tuple[tuple[str, ...], tuple[str, ...], bool, bool]:
+    """The rules, in the order of ``rule_ids``, on which ``a``'s cost exceeds
+    ``b``'s beyond the tolerance, those on which ``b``'s exceeds ``a``'s, and
+    whether ``a`` is at most as bad as ``b`` and ``b`` as ``a``.  A side is at
+    most as bad as the other when each rule it is worse on has a strictly
+    higher rule (``priority.strictly_above``) that the other side is worse on."""
+    worse_a, worse_b = [], []
+    for rule_id in rule_ids:
+        d = costs_a[rule_id] - costs_b[rule_id]
+        if gt(d, 0.0):
+            worse_a.append(rule_id)
+        elif lt(d, 0.0):
+            worse_b.append(rule_id)
+    above = priority.strictly_above
+    a_le_b = all(not above[rule_id].isdisjoint(worse_b) for rule_id in worse_a)
+    b_le_a = all(not above[rule_id].isdisjoint(worse_a) for rule_id in worse_b)
+    return tuple(worse_a), tuple(worse_b), a_le_b, b_le_a
+
+
 def at_most_as_bad(
     priority: Preorder,
     costs_a: Mapping[str, float],
     costs_b: Mapping[str, float],
 ) -> bool:
-    """Whether cost profile ``a`` is at most as bad as ``b`` under ``priority``.
-
-    Holds when for every rule penalizing ``a`` more than ``b`` there is a
-    strictly higher-priority rule (one of ``priority.strictly_above``)
-    penalizing ``b`` more than ``a``.
-    """
-    above = priority.strictly_above
-    for rule_id in priority.elements:
-        if gt(costs_a[rule_id], costs_b[rule_id]) and not any(
-            lt(costs_a[other], costs_b[other]) for other in above[rule_id]
-        ):
-            return False
-    return True
+    """Whether cost profile ``a`` is at most as bad as ``b`` under ``priority``,
+    as :func:`compare_profiles` decides it."""
+    return compare_profiles(priority, priority.elements, costs_a, costs_b)[2]
 
 
 def _profile(rb: Rulebook, x: Realization) -> dict[str, float]:
@@ -123,8 +128,5 @@ def compare_realizations(rb: Rulebook, x: Realization, y: Realization) -> Verdic
     strictly worse; ``EQUAL`` holds exactly when every rule scores the two
     realizations the same within tolerance.
     """
-    vx = _profile(rb, x)
-    vy = _profile(rb, y)
-    x_at_most_y = at_most_as_bad(rb.priority, vx, vy)
-    y_at_most_x = at_most_as_bad(rb.priority, vy, vx)
-    return Verdict.from_directions(forward=y_at_most_x, backward=x_at_most_y)
+    _, _, x_le_y, y_le_x = compare_profiles(rb.priority, rb.rule_ids, _profile(rb, x), _profile(rb, y))
+    return Verdict.from_directions(forward=y_le_x, backward=x_le_y)

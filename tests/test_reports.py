@@ -1,11 +1,15 @@
 import dataclasses
+import itertools
 import json
+import random
 
 import pytest
 
 import riskbook as rb
 from riskbook import run_check, run_explain, run_rank, run_risk_table
 from riskbook.reports import render_check, render_explanation, render_rank, render_risk_table
+
+from instgen import random_instance
 
 
 class TestRiskTable:
@@ -105,6 +109,85 @@ class TestExplain:
     def test_unknown_trajectory(self, av):
         with pytest.raises(rb.UnknownTrajectory):
             run_explain(av, "tau1", "tau9")
+
+
+def oracle_disadvantages(instance, mine, theirs, profiles):
+    """``(rule, excess, other excess, compensators)`` for each rule on which
+    ``mine``'s excess exceeds ``theirs``'s beyond the tolerance, in rule order;
+    the compensators are the rules strictly above it in the closed priority
+    relation on which ``theirs``'s excess exceeds ``mine``'s."""
+    relation = instance.rulebook.priority.relation
+    rule_ids = instance.rulebook.rule_ids
+    a, b = profiles[mine], profiles[theirs]
+    return [
+        (
+            rule,
+            a[rule],
+            b[rule],
+            tuple(
+                other
+                for other in rule_ids
+                if (other, rule) in relation and (rule, other) not in relation and b[other] - a[other] > rb.TOL
+            ),
+        )
+        for rule in rule_ids
+        if a[rule] - b[rule] > rb.TOL
+    ]
+
+
+def as_tuples(disadvantages):
+    return [(d.rule_id, d.value, d.other_value, d.compensators) for d in disadvantages]
+
+
+class TestExplainRationale:
+    """``explain``'s worse-on and compensated-by lists are the rationale of its
+    verdict: they match an oracle on the profiles and the priority relation,
+    and the verdict is the one they imply."""
+
+    def test_lists_match_the_oracle_and_imply_the_verdict(self):
+        rng = random.Random(31)
+        compensated = 0
+        for _ in range(150):
+            instance = random_instance(rng)
+            profiles = {t: rb.risk_aware_profile(instance, t) for t in instance.trajectories}
+            for first, second in itertools.product(instance.trajectories, repeat=2):
+                explanation = run_explain(instance, first, second)
+                first_worse = oracle_disadvantages(instance, first, second, profiles)
+                second_worse = oracle_disadvantages(instance, second, first, profiles)
+                assert as_tuples(explanation.first_worse) == first_worse
+                assert as_tuples(explanation.second_worse) == second_worse
+                first_at_most = all(compensators for *_, compensators in first_worse)
+                second_at_most = all(compensators for *_, compensators in second_worse)
+                implied = {
+                    (True, True): rb.Verdict.EQUAL,
+                    (True, False): rb.Verdict.LOWER,
+                    (False, True): rb.Verdict.HIGHER,
+                    (False, False): rb.Verdict.INCOMPARABLE,
+                }[(first_at_most, second_at_most)]
+                assert explanation.verdict is implied
+                assert rb.compare_trajectories(instance, first, second) is implied
+                compensated += sum(1 for *_, compensators in first_worse if compensators)
+        assert compensated > 100
+
+    def test_lists_follow_rule_order_whatever_order_the_preorder_declares(self):
+        rng = random.Random(32)
+        several = 0
+        for _ in range(60):
+            instance = random_instance(rng)
+            rulebook = instance.rulebook
+            priority = rb.Preorder(tuple(reversed(rulebook.priority.elements)), rulebook.priority.relation)
+            reordered = dataclasses.replace(instance, rulebook=rb.Rulebook(rulebook.rules, priority))
+            position = {rule: i for i, rule in enumerate(rulebook.rule_ids)}
+            for first, second in itertools.product(instance.trajectories, repeat=2):
+                explanation = run_explain(reordered, first, second)
+                assert explanation == run_explain(instance, first, second)
+                for disadvantages in (explanation.first_worse, explanation.second_worse):
+                    rules = [d.rule_id for d in disadvantages]
+                    assert rules == sorted(rules, key=position.get)
+                    for d in disadvantages:
+                        assert list(d.compensators) == sorted(d.compensators, key=position.get)
+                        several += len(d.compensators) > 1
+        assert several > 10
 
 
 class TestCheck:

@@ -419,6 +419,22 @@ class TestOperationCounts:
             assert witness == e.witnesses[0]
             assert counts["builds"] <= 2 * self.RULES
 
+    def test_reports_compare_each_unordered_pair_once(self, instance, monkeypatch):
+        compared = Counter()
+        compare = riskaware.compare_profiles
+
+        def counting_compare(priority, rule_ids, costs_a, costs_b):
+            compared[frozenset((id(costs_a), id(costs_b)))] += 1
+            return compare(priority, rule_ids, costs_a, costs_b)
+
+        monkeypatch.setattr(riskaware, "compare_profiles", counting_compare)
+        pairs = self.TRAJECTORIES * (self.TRAJECTORIES + 1) // 2
+        reports.run_rank(instance)
+        assert sum(compared.values()) == pairs and max(compared.values()) == 1
+        compared.clear()
+        assert reports.run_explain(instance, "t4", "t0").tradeoffs
+        assert sum(compared.values()) <= pairs and max(compared.values()) == 1
+
     def test_rank_makes_no_priority_comparisons(self, instance, monkeypatch):
         calls = Counter()
         compare = rb.Preorder.compare

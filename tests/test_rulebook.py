@@ -6,7 +6,7 @@ import pytest
 import riskbook as rb
 from riskbook import Realization, Verdict, compare_realizations, violation
 
-from instgen import all_realizations, brute_verdict, random_instance
+from instgen import all_realizations, brute_at_most_as_bad, brute_verdict, random_instance
 
 
 class TestViolationLookup:
@@ -109,3 +109,16 @@ class TestPreorderLaws:
                 assert compare_realizations(instance.rulebook, x, y) is brute_verdict(
                     instance.rulebook, x, y
                 )
+
+    def test_at_most_as_bad_matches_brute_force_in_either_element_order(self):
+        rng = random.Random(2026)
+        for _ in range(200):
+            instance = random_instance(rng, max_trajectories=3, max_envs=2, max_rules=5)
+            book = instance.rulebook
+            reordered = rb.Preorder(tuple(reversed(book.priority.elements)), book.priority.relation)
+            for x, y in itertools.product(all_realizations(instance), repeat=2):
+                vx = {r.id: r.violation(x) for r in book.rules}
+                vy = {r.id: r.violation(y) for r in book.rules}
+                expected = brute_at_most_as_bad(book, x, y)
+                assert rb.at_most_as_bad(book.priority, vx, vy) is expected
+                assert rb.at_most_as_bad(reordered, vx, vy) is expected
