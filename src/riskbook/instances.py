@@ -36,6 +36,7 @@ from pathlib import Path
 from typing import Any, Callable
 
 from .errors import DuplicateElement, ParseError, RiskbookError, ValidationError
+from .jsonwriter import dumps
 from .preorder import build_preorder
 from .probspace import FiniteProbSpace
 from .risk import CUSTOM, CVAR, VAR, RiskMeasure
@@ -225,7 +226,7 @@ def instance_to_dict(instance: Instance) -> dict:
 
 def serialize_instance(instance: Instance) -> str:
     """Deterministic JSON text for ``instance``; parses back to an equal instance."""
-    return json.dumps(instance_to_dict(instance), indent=2) + "\n"
+    return dumps(instance_to_dict(instance)) + "\n"
 
 
 def load_instance(path: str | Path) -> Instance:

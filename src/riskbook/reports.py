@@ -3,7 +3,11 @@
 Every report is a frozen dataclass plus a pair of renderers: a fixed-width
 human table and a JSON form.  Rows follow declaration order and numbers use
 shortest round-trip decimal formatting, so two runs over the same instance
-produce byte-identical output.
+produce byte-identical output.  The JSON form is written by
+:func:`riskbook.jsonwriter.dumps`, which returns exactly
+``json.dumps(tree, indent=2)`` for the trees of dicts with ``str`` keys,
+lists, tuples, strings, numbers, booleans and ``None`` built here, and
+raises ``TypeError`` on anything else rather than writing other bytes.
 
 Reports compare nothing: they assemble what one evaluation decided, so the
 rationale they print is the comparison each verdict was read from.
@@ -11,10 +15,10 @@ rationale they print is the comparison each verdict was read from.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import chain
 
+from .jsonwriter import dumps
 from .preorder import Verdict
 from .risk import CUSTOM, spot_check_monotonicity
 from .riskaware import Instance, TradeoffWitness, _Evaluation
@@ -270,7 +274,7 @@ def _witness_phrase(w: TradeoffWitness) -> str:
 
 def render_rank(report: RankingReport, as_json: bool = False) -> str:
     if as_json:
-        return json.dumps(rank_to_json(report), indent=2)
+        return dumps(rank_to_json(report))
     rows = []
     for a in report.assessments:
         rows.append(
@@ -309,7 +313,7 @@ def _witness_to_json(w: TradeoffWitness) -> dict:
     return {
         "improving_rule": w.improving_rule,
         "compensating_rule": w.compensating_rule,
-        "witness_scenarios": list(w.witness_scenarios),
+        "witness_scenarios": w.witness_scenarios,
         "witness_probability": w.witness_probability,
     }
 
@@ -348,7 +352,7 @@ def rank_to_json(report: RankingReport) -> dict:
 
 def render_risk_table(table: RiskTable, as_json: bool = False) -> str:
     if as_json:
-        return json.dumps(
+        return dumps(
             {
                 "rule": table.rule_id,
                 "measure": table.measure,
@@ -362,8 +366,7 @@ def render_risk_table(table: RiskTable, as_json: bool = False) -> str:
                     }
                     for r in table.rows
                 ],
-            },
-            indent=2,
+            }
         )
     head = f"rule {table.rule_id}, measure {table.measure}, threshold {_fmt(table.threshold)}"
     body = _table(
@@ -385,7 +388,7 @@ def _disadvantage_to_json(d: RuleDisadvantage) -> dict:
 def render_explanation(explanation: Explanation, as_json: bool = False) -> str:
     first, second = explanation.first, explanation.second
     if as_json:
-        return json.dumps(
+        return dumps(
             {
                 "first": first,
                 "second": second,
@@ -394,8 +397,7 @@ def render_explanation(explanation: Explanation, as_json: bool = False) -> str:
                 "first_worse": [_disadvantage_to_json(d) for d in explanation.first_worse],
                 "second_worse": [_disadvantage_to_json(d) for d in explanation.second_worse],
                 "tradeoffs": _explanations_to_json(explanation.tradeoffs),
-            },
-            indent=2,
+            }
         )
 
     verdict_phrases = {
@@ -429,14 +431,13 @@ def render_explanation(explanation: Explanation, as_json: bool = False) -> str:
 
 def render_check(report: CheckReport, as_json: bool = False) -> str:
     if as_json:
-        return json.dumps(
+        return dumps(
             {
                 "ok": report.ok,
                 "results": [
                     {"name": r.name, "status": r.status, "detail": r.detail} for r in report.results
                 ],
-            },
-            indent=2,
+            }
         )
     lines = [f"{r.status:>10}  {r.name}: {r.detail}" for r in report.results]
     lines.append("check " + ("passed" if report.ok else "FAILED"))

@@ -41,7 +41,7 @@ from .preorder import Verdict
 from .probspace import FiniteProbSpace, RandomCost, _ascending, _atoms, _total, exceedance_prob
 from .risk import CUSTOM, EXPECTED, RiskMeasure, assess, assess_support, is_strictly_monotone_class
 from .rulebook import Realization, Rulebook, compare_profiles, compare_realizations
-from .tolerance import gt, le, lt
+from .tolerance import exceeding, le, lt
 
 
 @dataclass(frozen=True)
@@ -301,12 +301,12 @@ class _Evaluation:
         """Every rule that penalizes challenger ``c`` more than ``w`` on a
         positive-probability scenario set, with that set and its probability.
         One scan per pair serves every improving rule."""
+        scenario, prob = self.scenarios.__getitem__, self.probs.__getitem__
         found = []
         for r in range(len(self.rule_ids)):
-            cost_c, cost_w = self.cost(r, c), self.cost(r, w)
-            worse = [k for k in self.positive if gt(cost_c[k], cost_w[k])]
+            worse = exceeding(self.cost(r, c), self.cost(r, w), self.positive)
             if worse:
-                found.append((r, tuple(self.scenarios[k] for k in worse), sum(self.probs[k] for k in worse)))
+                found.append((r, tuple(map(scenario, worse)), sum(map(prob, worse))))
         return found
 
     def witnesses(self, w: int, c: int, improving_rule: str) -> list[TradeoffWitness]:

@@ -1,8 +1,9 @@
 """Byte-identity of the CLI reports against recorded golden files.
 
-``tests/golden/`` holds the ``rank``, ``explain`` and ``check`` output, as
-text and as ``--json``, for the bundled instance (as shipped, and with the
-worst-case override on ``r1``), for seeded ``instgen`` instances that mix
+``tests/golden/`` holds the ``rank``, ``risk``, ``explain`` and ``check``
+output, as text and as ``--json``, for the bundled instance (as shipped,
+and with the worst-case override on ``r1``), for seeded ``instgen``
+instances that mix
 all four measures, CVaR included, with strict, equal and incomparable rule
 priorities, and for ``signed_zero``, a fixed instance whose worst-case, VaR
 and CVaR rules see ``0.0`` and ``-0.0`` violations, near-ties within 1e-9
@@ -46,7 +47,7 @@ CASES = {
     **{f"instgen_{seed}": (INSTANCES / f"instgen_{seed}.json", []) for seed in INSTGEN_SEEDS},
     "signed_zero": (INSTANCES / "signed_zero.json", []),
 }
-COMMANDS = ("rank", "explain", "check")
+COMMANDS = ("rank", "risk", "explain", "check")
 FORMATS = {"txt": [], "json": ["--json"]}
 
 
@@ -59,10 +60,13 @@ def _cli(argv: list[str]) -> str:
 
 
 def render(case: str, command: str, fmt: str) -> str:
-    """The output one golden file records.  ``explain`` covers every pair of
-    trajectories once, in declaration order, each after a ``$ explain A B``
-    line; one call explains the tradeoffs in both directions."""
+    """The output one golden file records.  ``risk`` tables the instance's
+    first declared rule.  ``explain`` covers every pair of trajectories once,
+    in declaration order, each after a ``$ explain A B`` line; one call
+    explains the tradeoffs in both directions."""
     path, overrides = CASES[case]
+    if command == "risk":
+        overrides = ["--rule", rb.load_instance(path).rulebook.rule_ids[0]] + overrides
     tail = [str(path)] + overrides + FORMATS[fmt]
     if command != "explain":
         return _cli([command] + tail)
