@@ -13,7 +13,10 @@ The document format is a single UTF-8 JSON object with six top-level keys:
 
 Measure kinds are ``expected``, ``worst_case``, ``var``, and ``cvar``;
 ``alpha`` is required for the last two and rejected otherwise.  Documents
-that are not JSON raise :class:`ParseError`.
+that are not JSON raise :class:`ParseError`, as do files that are not UTF-8,
+nesting too deep for the decoder and integer literals over Python's
+int-to-string digit limit; a number too large for a float is a
+:class:`ValidationError` at its JSON path.
 
 The parser checks only the document's shape: value types, the top-level and
 risk-block keys, and the arity of priority pairs.  Every other invariant has
@@ -30,7 +33,6 @@ objects keep read-only copies of their tables, so they stay valid.
 from __future__ import annotations
 
 import json
-from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 from typing import Any, Callable
@@ -74,7 +76,10 @@ def _expect_str(value: Any, path: str) -> str:
 def _expect_number(value: Any, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"{path}: expected a number, got {type(value).__name__}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        raise ValidationError(f"{path}: number is too large for a float") from None
 
 
 def _built(path: str, make: Callable[..., Any], *args: Any) -> Any:
@@ -177,6 +182,10 @@ def parse_instance(text: str) -> Instance:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno} column {exc.colno}: {exc.msg}") from None
+    except ValueError as exc:  # an integer literal over the int-to-str digit limit
+        raise ParseError(str(exc)) from None
+    except RecursionError:
+        raise ParseError("document is nested too deeply") from None
     return instance_from_dict(doc)
 
 
@@ -231,7 +240,11 @@ def serialize_instance(instance: Instance) -> str:
 
 def load_instance(path: str | Path) -> Instance:
     """Read and parse an instance document from a file."""
-    return parse_instance(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 at byte {exc.start}: {exc.reason}") from None
+    return parse_instance(text)
 
 
 def bundled_instance_text(name: str = "av_pedestrian") -> str:
@@ -258,7 +271,8 @@ def with_risk_config(
     current ``alpha`` unless a new one is given; switching away drops it.
     Arguments left as None keep their current value.  :class:`RiskMeasure`
     and :class:`RiskConfig` reject what they cannot hold, reported as a
-    :class:`ValidationError` naming the rule.
+    :class:`ValidationError` naming the rule.  The copy shares ``instance``'s
+    compiled tables, which no risk configuration changes.
     """
     current = instance.config(rule_id)
     new_measure = current.measure
@@ -270,4 +284,4 @@ def with_risk_config(
     new_threshold = current.threshold if threshold is None else threshold
     configs = dict(instance.risk_configs)
     configs[rule_id] = _built(f"rule {rule_id!r}", RiskConfig, new_measure, new_threshold)
-    return replace(instance, risk_configs=configs)
+    return instance._reconfigured(configs)

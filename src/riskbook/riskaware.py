@@ -17,10 +17,9 @@ operations in this module extract those justifications.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
-from functools import wraps
-from itertools import groupby
+from functools import cached_property, wraps
 from operator import mul
 from types import MappingProxyType
 from typing import Mapping
@@ -107,6 +106,14 @@ class Instance:
     unique trajectory ids, interaction and violation tables total over the
     declared ids, and a risk configuration for exactly the rules.  Tables
     are stored as read-only copies, so an instance stays valid once built.
+
+    The first evaluation compiles the instance into integer-indexed tables
+    (:class:`_Compiled`): about T·S + R·T·E list slots for T trajectories,
+    S scenarios, R rules and E environment trajectories.  They do not depend
+    on the risk configurations, live as long as the instance, and are shared
+    with every copy :func:`~riskbook.instances.with_risk_config` makes.  They
+    are not a field, so equality, :func:`dataclasses.replace`, pickling and
+    deep copies never see them; a rebuilt instance compiles afresh.
     """
 
     space: FiniteProbSpace
@@ -140,6 +147,16 @@ class Instance:
 
     __reduce__ = rebuild
 
+    @cached_property
+    def _compiled(self) -> _Compiled:
+        return _Compiled(self)
+
+    def _reconfigured(self, risk_configs: Mapping[str, RiskConfig]) -> Instance:
+        """Copy with ``risk_configs`` replaced, sharing the compiled tables."""
+        copy = replace(self, risk_configs=risk_configs)
+        copy.__dict__["_compiled"] = self._compiled
+        return copy
+
     def require_trajectory(self, trajectory: str) -> int:
         return _declared(self.trajectories, trajectory, UnknownTrajectory, "system trajectory")
 
@@ -152,6 +169,47 @@ class Instance:
     def config(self, rule_id: str) -> RiskConfig:
         self.require_rule(rule_id)
         return self.risk_configs[rule_id]
+
+
+class _Compiled:
+    """The index tables of an instance that no risk configuration changes.
+
+    Rules, trajectories, scenarios and environment trajectories are
+    addressed by declaration index.  A rule's induced cost depends on the
+    scenario only through the environment response it triggers, so each
+    trajectory ``t`` has one response-index vector ``responses[t]`` and each
+    rule ``r`` one violation row ``rows[r][t]`` over environment
+    trajectories.  ``groups[t]`` holds ``t``'s positive-probability scenarios
+    grouped by response, as ``(response, positions, total)`` in the terms of
+    :func:`~riskbook.probspace._atoms`: groups in response order, positions
+    ascending in the order of ``ascending``, totals added left to right.
+    """
+
+    def __init__(self, instance: Instance) -> None:
+        scenarios, envs = instance.space.scenarios, instance.env_trajectories
+        self.probs = [instance.space.probs[omega] for omega in scenarios]
+        self.positive = [k for k, p in enumerate(self.probs) if p > 0]
+        self.ascending, self.ascending_probs = _ascending(self.probs)
+        env_index = {env: e for e, env in enumerate(envs)}
+        table = instance.interaction.responses
+        self.responses = [
+            [env_index[table[(trajectory, omega)]] for omega in scenarios]
+            for trajectory in instance.trajectories
+        ]
+        self.rows = [
+            [[rule.violations[(trajectory, env)] for env in envs] for trajectory in instance.trajectories]
+            for rule in instance.rulebook.rules
+        ]
+        self.groups = [self._group(responses, len(envs)) for responses in self.responses]
+
+    def _group(self, responses: list[int], n_envs: int) -> list[tuple[int, list[int], float]]:
+        """One bucket pass over the ascending positions, so each group's
+        positions stay ascending."""
+        buckets: list[list[int]] = [[] for _ in range(n_envs)]
+        for i, k in enumerate(self.ascending):
+            buckets[responses[k]].append(i)
+        probabilities = self.ascending_probs
+        return [(e, positions, _total(probabilities, positions)) for e, positions in enumerate(buckets) if positions]
 
 
 def _once(method):
@@ -170,17 +228,16 @@ def _once(method):
 class _Evaluation:
     """Every figure one call derives from an instance, each computed once.
 
-    The instance is compiled into integer-indexed tables: rules,
-    trajectories, scenarios and environment trajectories are addressed by
-    declaration index.  A rule's induced cost depends on the scenario only
-    through the environment response it triggers, so each trajectory gets
-    one response-index vector, and the cost of rule ``r`` under trajectory
-    ``t`` is the list ``row[e]`` over the scenarios' responses ``e``, where
-    ``row`` is ``r``'s violation row for ``t``.  Expected cost sums that list
-    against the probabilities scenario by scenario, in declaration order.
-    Worst case, VaR and CVaR read atoms built from ``t``'s positive-probability
-    scenarios grouped by response, so at most one group per environment
-    trajectory, grouped once per call.  Custom measures receive a
+    The instance's compiled tables (:class:`_Compiled`, built on its first
+    evaluation and kept with it) give each trajectory's response-index
+    vector, each rule's violation row and each trajectory's scenarios
+    grouped by response.  What depends on the risk configurations is
+    derived here: the cost of rule ``r`` under trajectory ``t`` is the list
+    ``row[e]`` over the scenarios' responses ``e``, where ``row`` is ``r``'s
+    violation row for ``t``.  Expected cost sums that list against the
+    probabilities scenario by scenario, in declaration order.  Worst case,
+    VaR and CVaR read atoms built from ``t``'s response groups, so at most
+    one group per environment trajectory.  Custom measures receive a
     :class:`RandomCost`.
 
     Safety under one rule is one test, :meth:`within_threshold`.  Every
@@ -191,62 +248,33 @@ class _Evaluation:
     builds and assesses only their induced costs, while a matrix or an
     optimal set assesses every (rule, trajectory) pair once.  The instance's
     tables are read-only copies validated at construction, so nothing here
-    re-checks them.  An evaluation serves one top-level call and is not kept
-    on the instance, so its memory is released with the call.
+    re-checks them.  Costs, atoms, risks, comparisons and witnesses serve
+    one top-level call and are not kept on the instance, so their memory is
+    released with the call.
     """
 
     def __init__(self, instance: Instance) -> None:
         self.instance = instance
+        self.compiled = instance._compiled
         self.rule_ids = instance.rulebook.rule_ids
         self.trajectories = instance.trajectories
         self.scenarios = instance.space.scenarios
-        self.probs = [instance.space.probs[omega] for omega in self.scenarios]
-        self.positive = [k for k, p in enumerate(self.probs) if p > 0]
-        self._ascending, self._ascending_probs = _ascending(self.probs)
-        self._env_index = {env: e for e, env in enumerate(instance.env_trajectories)}
         self.above = instance.rulebook.priority.strictly_above
         self._memo: dict = {}
 
     @_once
-    def responses(self, t: int) -> list[int]:
-        """Index of the environment trajectory each scenario triggers under ``t``."""
-        table, trajectory, env_index = self.instance.interaction.responses, self.trajectories[t], self._env_index
-        return [env_index[table[(trajectory, omega)]] for omega in self.scenarios]
-
-    def _row(self, r: int, t: int) -> list[float]:
-        """Violation of rule ``r`` for each environment trajectory when ``t`` is driven."""
-        violations, trajectory = self.instance.rulebook.rules[r].violations, self.trajectories[t]
-        return [violations[(trajectory, env)] for env in self.instance.env_trajectories]
-
-    @_once
     def cost(self, r: int, t: int) -> list[float]:
         """Induced cost of rule ``r`` under ``t``, in scenario order."""
-        row = self._row(r, t)
-        return [row[e] for e in self.responses(t)]
+        return list(map(self.compiled.rows[r][t].__getitem__, self.compiled.responses[t]))
 
     def random_cost(self, r: int, t: int) -> RandomCost:
         return RandomCost(dict(zip(self.scenarios, self.cost(r, t))))
 
     @_once
-    def groups(self, t: int) -> list[tuple[int, list[int], float]]:
-        """``t``'s positive-probability scenarios grouped by the response they
-        trigger, as ``(response, positions, total)`` in the terms of
-        :func:`~riskbook.probspace._atoms`."""
-        responses = self.responses(t)
-        response_at = [responses[k] for k in self._ascending]
-        # A stable sort by response keeps each group's positions ascending.
-        by_response = sorted(range(len(response_at)), key=response_at.__getitem__)
-        groups = []
-        for e, group in groupby(by_response, key=response_at.__getitem__):
-            positions = list(group)
-            groups.append((e, positions, _total(self._ascending_probs, positions)))
-        return groups
-
-    @_once
     def risk(self, r: int, t: int) -> float:
         measure = self.instance.risk_configs[self.rule_ids[r]].measure
         if measure.kind == EXPECTED:
-            return sum(map(mul, self.probs, self.cost(r, t)))
+            return sum(map(mul, self.compiled.probs, self.cost(r, t)))
         if measure.kind == CUSTOM:
             return assess(measure, self.instance.space, self.random_cost(r, t))
         return assess_support(measure, self.atoms(r, t))
@@ -255,9 +283,9 @@ class _Evaluation:
         """Distribution of rule ``r``'s induced cost under ``t``, equal to what
         :func:`~riskbook.probspace.distribution` gives, from at most one group
         of scenarios per environment trajectory."""
-        row = self._row(r, t)
-        groups = [(row[e], positions, total) for e, positions, total in self.groups(t)]
-        return _atoms(groups, self._ascending_probs)
+        row = self.compiled.rows[r][t]
+        groups = [(row[e], positions, total) for e, positions, total in self.compiled.groups[t]]
+        return _atoms(groups, self.compiled.ascending_probs)
 
     def excess(self, r: int, t: int) -> float:
         return max(self.risk(r, t) - self.instance.risk_configs[self.rule_ids[r]].threshold, 0.0)
@@ -301,10 +329,10 @@ class _Evaluation:
         """Every rule that penalizes challenger ``c`` more than ``w`` on a
         positive-probability scenario set, with that set and its probability.
         One scan per pair serves every improving rule."""
-        scenario, prob = self.scenarios.__getitem__, self.probs.__getitem__
+        scenario, prob = self.scenarios.__getitem__, self.compiled.probs.__getitem__
         found = []
         for r in range(len(self.rule_ids)):
-            worse = exceeding(self.cost(r, c), self.cost(r, w), self.positive)
+            worse = exceeding(self.cost(r, c), self.cost(r, w), self.compiled.positive)
             if worse:
                 found.append((r, tuple(map(scenario, worse)), sum(map(prob, worse))))
         return found

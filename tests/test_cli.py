@@ -136,6 +136,39 @@ class TestExitCodes:
         assert main(["rank", str(path)]) == 1
         assert "xi7" in capsys.readouterr().err
 
+    @staticmethod
+    def one_line_error(capsys) -> str:
+        err = capsys.readouterr().err
+        assert err.endswith("\n") and err.count("\n") == 1 and "Traceback" not in err
+        return err
+
+    def test_non_utf8_file_is_a_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(rb.bundled_instance_text().replace("tau1", "tau\xe9").encode("latin-1"))
+        assert main(["rank", str(path)]) == 2
+        assert "parse error" in self.one_line_error(capsys)
+
+    def test_deep_nesting_is_a_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
+        assert main(["rank", str(path)]) == 2
+        assert "parse error" in self.one_line_error(capsys)
+
+    def test_integer_over_the_digit_limit_is_a_parse_error(self, tmp_path, capsys):
+        text = rb.bundled_instance_text()
+        path = tmp_path / "digits.json"
+        path.write_text(text.replace('"threshold": 0', '"threshold": ' + "1" * 4301, 1), encoding="utf-8")
+        assert main(["rank", str(path)]) == 2
+        assert "parse error" in self.one_line_error(capsys)
+
+    def test_integer_beyond_the_float_range_is_a_validation_error(self, tmp_path, capsys):
+        doc = json.loads(rb.bundled_instance_text())
+        doc["rules"][0]["violations"]["tau1"]["xi1"] = 10**400
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["rank", str(path)]) == 1
+        assert "rules[0].violations.tau1.xi1" in self.one_line_error(capsys)
+
     def test_override_before_rule_scope(self, av_file, capsys):
         assert main(["rank", av_file, "--measure", "expected"]) == 2
         assert "must follow a --rule" in capsys.readouterr().err

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import json
 import pickle
+import random
 
 import pytest
 
@@ -14,6 +15,8 @@ from riskbook import (
     serialize_instance,
     with_risk_config,
 )
+
+from instgen import ALL_KINDS, ALPHAS, THRESHOLDS, random_instance
 
 
 def doc():
@@ -265,7 +268,29 @@ class TestPickling:
     def test_rank_of_an_unpickled_instance_is_byte_identical(self, av):
         expected = rb.reports.render_rank(rb.run_rank(av), as_json=True)
         again = pickle.loads(pickle.dumps(av))
+        assert "_compiled" not in vars(again)
         assert rb.reports.render_rank(rb.run_rank(again), as_json=True) == expected
+        assert again._compiled is not av._compiled
+
+    def test_compiled_tables_stay_out_of_copies_fields_and_equality(self, av, monkeypatch):
+        rb.run_rank(av)
+        assert "_compiled" in vars(av)
+        validations = []
+        validate = rb.Instance.__post_init__
+        monkeypatch.setattr(rb.Instance, "__post_init__", lambda inst: validations.append(validate(inst)))
+        for again in (pickle.loads(pickle.dumps(av)), copy.deepcopy(av)):
+            assert "_compiled" not in vars(again)
+            assert again == av
+        assert len(validations) == 2
+        assert [f.name for f in dataclasses.fields(rb.Instance)] == [
+            "space",
+            "trajectories",
+            "env_trajectories",
+            "interaction",
+            "rulebook",
+            "risk_configs",
+        ]
+        assert av == bundled_instance() and "_compiled" not in vars(dataclasses.replace(av))
 
     def test_unpickling_goes_through_validation(self, av):
         make, (rule_id, table) = av.rulebook.rules[0].__reduce__()
@@ -302,6 +327,27 @@ class TestOverrides:
         with_risk_config(av, "r1", measure="worst_case", threshold=175.0)
         assert av.risk_configs["r1"].measure.kind == "var"
         assert av.risk_configs["r1"].threshold == 0.0
+
+    def test_shared_tables_match_a_freshly_parsed_override(self):
+        rng = random.Random(8)
+        for _ in range(50):
+            instance = random_instance(rng)
+            r = rng.randrange(len(instance.rulebook.rule_ids))
+            rule_id = instance.rulebook.rule_ids[r]
+            risk = {"measure": rng.choice(ALL_KINDS)}
+            if risk["measure"] in ("var", "cvar"):
+                risk["alpha"] = rng.choice(ALPHAS)
+            risk["threshold"] = rng.choice(THRESHOLDS)
+            rb.run_rank(instance)  # compiles the tables the copy shares
+            shared = with_risk_config(instance, rule_id, **risk)
+            assert shared._compiled is instance._compiled
+            document = rb.instance_to_dict(instance)
+            document["rules"][r]["risk"] = risk
+            fresh = parse_instance(json.dumps(document))
+            assert shared == fresh
+            expected, actual = rb.run_rank(fresh), rb.run_rank(shared)
+            assert actual.assessments == expected.assessments
+            assert (actual.safe, actual.optimal) == (expected.safe, expected.optimal)
 
     def test_unknown_rule(self, av):
         with pytest.raises(rb.UnknownRule):

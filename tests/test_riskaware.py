@@ -435,6 +435,28 @@ class TestOperationCounts:
         assert reports.run_explain(instance, "t4", "t0").tradeoffs
         assert sum(compared.values()) <= pairs and max(compared.values()) == 1
 
+    def test_instance_compiles_once_for_every_call_and_override(self, instance, counts, monkeypatch):
+        compiles = Counter()
+        compile_tables = riskaware._Compiled.__init__
+
+        def counting_compile(tables, inst):
+            compiles[id(inst)] += 1
+            compile_tables(tables, inst)
+
+        monkeypatch.setattr(riskaware._Compiled, "__init__", counting_compile)
+        reports.run_rank(instance)
+        reports.run_check(instance)
+        for a, b in itertools.permutations(instance.trajectories, 2):
+            reports.run_explain(instance, a, b)
+        risk_of(instance, "r0", "t0")
+        reconfigured = rb.with_risk_config(instance, "r0", measure="cvar", alpha=0.9, threshold=0.5)
+        assert reconfigured._compiled is instance._compiled
+        counts.clear()
+        reports.run_rank(reconfigured)
+        assert max(n for key, n in counts.items() if isinstance(key, tuple)) == 1
+        assert counts["assessments"] <= self.RULES * self.TRAJECTORIES
+        assert compiles == {id(instance): 1}
+
     def test_rank_makes_no_priority_comparisons(self, instance, monkeypatch):
         calls = Counter()
         compare = rb.Preorder.compare
