@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 
 from .errors import ParseError, RiskbookError
 from .instances import load_instance, with_risk_config
@@ -97,6 +98,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """One parser per process for :func:`main`: parsing writes only to each
+    call's own namespace, so calls share nothing through it."""
+    return build_parser()
+
+
 def _collect_scopes(events: list[tuple[str, object]]) -> tuple[list[str], dict[str, dict]]:
     """Group override events into per-rule scopes, keeping --rule order."""
     order: list[str] = []
@@ -120,8 +128,7 @@ class _UsageError(Exception):
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     events = getattr(args, "override_events", []) or []
 
     try:

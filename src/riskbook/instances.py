@@ -21,13 +21,15 @@ int-to-string digit limit; a number too large for a float is a
 The parser checks only the document's shape: value types, the top-level and
 risk-block keys, and the arity of priority pairs.  Every other invariant has
 one owner, the constructor of the object it constrains: probabilities in
-:class:`FiniteProbSpace`, nonnegative violations in :class:`Rule`, measure
-kind and ``alpha`` in :class:`RiskMeasure`, thresholds in
-:class:`RiskConfig`, unique rule ids and priority closure in
-:func:`build_preorder` and :class:`Rulebook`, unique trajectory ids and
-total tables in :class:`Instance`.  The parser re-raises a constructor's
-error as :class:`ValidationError` with the JSON path in front.  Built
-objects keep read-only copies of their tables, so they stay valid.
+:class:`FiniteProbSpace`, finite nonnegative violations in :class:`Rule`
+(so JSON's ``Infinity``, and a decimal such as ``1e400`` that the decoder
+reads as infinity, are rejected there), measure kind and ``alpha`` in
+:class:`RiskMeasure`, thresholds in :class:`RiskConfig`, unique rule ids
+and priority closure in :func:`build_preorder` and :class:`Rulebook`,
+unique trajectory ids and total tables in :class:`Instance`.  The parser
+re-raises a constructor's error as :class:`ValidationError` with the JSON
+path in front.  Built objects keep read-only copies of their tables, so
+they stay valid.
 """
 
 from __future__ import annotations
@@ -272,7 +274,8 @@ def with_risk_config(
     Arguments left as None keep their current value.  :class:`RiskMeasure`
     and :class:`RiskConfig` reject what they cannot hold, reported as a
     :class:`ValidationError` naming the rule.  The copy shares ``instance``'s
-    compiled tables, which no risk configuration changes.
+    tables, already validated, and its compiled tables, which no risk
+    configuration changes; only the configurations are checked again.
     """
     current = instance.config(rule_id)
     new_measure = current.measure

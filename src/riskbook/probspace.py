@@ -1,6 +1,6 @@
 """Finite probability spaces over scenarios, and nonnegative cost variables.
 
-A scenario is just an identifier; a :class:`RandomCost` assigns a
+A scenario is just an identifier; a :class:`RandomCost` assigns a finite,
 nonnegative cost to each one.  Probabilities are plain doubles validated to
 sum to one within the package tolerance.  A space and a cost each keep a
 read-only copy of the table they were given, so they stay valid once built.
@@ -12,14 +12,17 @@ trajectory's scenarios by the environment response they trigger.  Both feed
 one atom builder, which alone merges equal values and picks a zero's sign:
 its atoms are exactly those of sorting every (value, probability) pair and
 merging values within tolerance, down to the order of each sum and the sign
-of a zero.
+of a zero.  The builder sorts the groups once; when neighbouring values are
+all further apart than the tolerance, as continuous costs are, the groups
+are the atoms, and it returns them with no Python step per group.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, groupby
-from operator import itemgetter
+from math import inf
+from operator import itemgetter, sub
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -37,6 +40,13 @@ _RELATIONS = {
     "≤": le,
     "=": eq,
 }
+
+# Bound once, as :func:`_atoms` runs once per (rule, trajectory): the fields
+# of a ``(value, positions, total)`` group, and ``d -> TOL < d``.
+_group_value = itemgetter(0)
+_group_positions = itemgetter(1)
+_group_total = itemgetter(2)
+_beyond_tol = TOL.__lt__
 
 
 @dataclass(frozen=True)
@@ -70,15 +80,17 @@ class FiniteProbSpace:
 
 @dataclass(frozen=True)
 class RandomCost:
-    """A scenario-indexed nonnegative cost, kept as a read-only copy."""
+    """A scenario-indexed finite, nonnegative cost, kept as a read-only copy."""
 
     values: Mapping[str, float]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", MappingProxyType(dict(self.values)))
         for omega, v in self.values.items():
-            if not v >= 0:  # also rejects NaN
-                raise ValidationError(f"cost at scenario {omega!r} is negative")
+            if not 0.0 <= v < inf:  # also rejects NaN
+                raise ValidationError(
+                    f"cost at scenario {omega!r} is {v!r}; costs must be finite and nonnegative"
+                )
 
     __reduce__ = rebuild
 
@@ -161,16 +173,29 @@ def _atoms(groups: Iterable[tuple[float, list[int], float]], probabilities: list
     atom's first value into that atom.  Groups of exactly equal value, such
     as ``0.0`` and ``-0.0``, are interleaved by position as the sort would
     interleave them, and the atom takes the value of the pair that comes first.
+
+    The groups are sorted by value once.  When every gap between consecutive
+    values exceeds the tolerance, no two groups share a value and no value
+    lies within tolerance of the one before it, so the merge below would
+    make each group an atom of its own, ``(value, total)``; that case is
+    decided by one pass of C-level subtractions and comparisons and builds
+    those pairs directly, with the same bits.  Any tie, near-tie or signed
+    zero fails the test and takes the merge.
     """
+    groups = sorted(groups, key=_group_value)
+    values = list(map(_group_value, groups))
+    if all(map(_beyond_tol, map(sub, values[1:], values))):
+        return list(zip(values, map(_group_total, groups)))
     atoms: list[tuple[float, float]] = []
-    for _, run in groupby(sorted(groups, key=itemgetter(0)), key=itemgetter(0)):
+    for _, run in groupby(groups, key=_group_value):
         run = list(run)
         if len(run) == 1:
             value, positions, total = run[0]
         else:
-            positions = sorted(chain.from_iterable(group for _, group, _ in run))
+            positions = sorted(chain.from_iterable(map(_group_positions, run)))
             total = _total(probabilities, positions)
-            value = next(v for v, group, _ in run if group[0] == positions[0])
+            # Groups hold disjoint positions, so the least list starts at positions[0].
+            value = min(run, key=_group_positions)[0]
         if atoms and abs(value - atoms[-1][0]) <= TOL:
             anchor, mass = atoms[-1]
             atoms[-1] = (anchor, _total(probabilities, positions, mass))

@@ -17,7 +17,7 @@ operations in this module extract those justifications.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, wraps
 from operator import mul
@@ -126,7 +126,6 @@ class Instance:
     def __post_init__(self) -> None:
         object.__setattr__(self, "trajectories", tuple(self.trajectories))
         object.__setattr__(self, "env_trajectories", tuple(self.env_trajectories))
-        object.__setattr__(self, "risk_configs", MappingProxyType(dict(self.risk_configs)))
         require_unique(self.trajectories, "system trajectory", ValidationError)
         require_unique(self.env_trajectories, "environment trajectory", ValidationError)
 
@@ -137,7 +136,14 @@ class Instance:
                 raise ValidationError(f"interaction maps {key!r} to undeclared environment trajectory {env!r}")
         for rule in self.rulebook.rules:
             _require_grid(rule.violations, self.trajectories, self.env_trajectories, f"rule {rule.id!r}")
+        self._set_risk_configs(self.risk_configs)
 
+    __reduce__ = rebuild
+
+    def _set_risk_configs(self, risk_configs: Mapping[str, RiskConfig]) -> None:
+        """Keep a read-only copy of ``risk_configs``, which must configure
+        exactly the rules."""
+        object.__setattr__(self, "risk_configs", MappingProxyType(dict(risk_configs)))
         for rule_id in self.rulebook.rule_ids:
             if rule_id not in self.risk_configs:
                 raise ValidationError(f"rule {rule_id!r} has no risk configuration")
@@ -145,16 +151,17 @@ class Instance:
             if rule_id not in self.rulebook.rule_ids:
                 raise ValidationError(f"risk configuration given for unknown rule {rule_id!r}")
 
-    __reduce__ = rebuild
-
     @cached_property
     def _compiled(self) -> _Compiled:
         return _Compiled(self)
 
     def _reconfigured(self, risk_configs: Mapping[str, RiskConfig]) -> Instance:
-        """Copy with ``risk_configs`` replaced, sharing the compiled tables."""
-        copy = replace(self, risk_configs=risk_configs)
-        copy.__dict__["_compiled"] = self._compiled
+        """Copy with ``risk_configs`` replaced, sharing every other field and
+        the compiled tables.  Only the configurations are checked: the
+        tables are this instance's, validated when it was built."""
+        copy = object.__new__(Instance)
+        copy.__dict__.update(vars(self), _compiled=self._compiled)
+        copy._set_risk_configs(risk_configs)
         return copy
 
     def require_trajectory(self, trajectory: str) -> int:
@@ -180,9 +187,13 @@ class _Compiled:
     trajectory ``t`` has one response-index vector ``responses[t]`` and each
     rule ``r`` one violation row ``rows[r][t]`` over environment
     trajectories.  ``groups[t]`` holds ``t``'s positive-probability scenarios
-    grouped by response, as ``(response, positions, total)`` in the terms of
-    :func:`~riskbook.probspace._atoms`: groups in response order, positions
-    ascending in the order of ``ascending``, totals added left to right.
+    grouped by response as three columns, ``(responses, positions, totals)``,
+    one entry per group in response order: the response's index, the
+    group's positions, ascending in the order of ``ascending``, and their
+    total, added left to right, in the terms of
+    :func:`~riskbook.probspace._atoms`.  A rule's groups are then its row
+    read at ``responses`` zipped with the other two columns, with no tuple
+    kept per group.
     """
 
     def __init__(self, instance: Instance) -> None:
@@ -202,14 +213,16 @@ class _Compiled:
         ]
         self.groups = [self._group(responses, len(envs)) for responses in self.responses]
 
-    def _group(self, responses: list[int], n_envs: int) -> list[tuple[int, list[int], float]]:
+    def _group(self, responses: list[int], n_envs: int) -> tuple[list[int], list[list[int]], list[float]]:
         """One bucket pass over the ascending positions, so each group's
         positions stay ascending."""
         buckets: list[list[int]] = [[] for _ in range(n_envs)]
         for i, k in enumerate(self.ascending):
             buckets[responses[k]].append(i)
+        envs = [e for e, bucket in enumerate(buckets) if bucket]
+        positions = [buckets[e] for e in envs]
         probabilities = self.ascending_probs
-        return [(e, positions, _total(probabilities, positions)) for e, positions in enumerate(buckets) if positions]
+        return envs, positions, [_total(probabilities, group) for group in positions]
 
 
 def _once(method):
@@ -283,9 +296,9 @@ class _Evaluation:
         """Distribution of rule ``r``'s induced cost under ``t``, equal to what
         :func:`~riskbook.probspace.distribution` gives, from at most one group
         of scenarios per environment trajectory."""
-        row = self.compiled.rows[r][t]
-        groups = [(row[e], positions, total) for e, positions, total in self.compiled.groups[t]]
-        return _atoms(groups, self.compiled.ascending_probs)
+        envs, positions, totals = self.compiled.groups[t]
+        values = map(self.compiled.rows[r][t].__getitem__, envs)
+        return _atoms(zip(values, positions, totals), self.compiled.ascending_probs)
 
     def excess(self, r: int, t: int) -> float:
         return max(self.risk(r, t) - self.instance.risk_configs[self.rule_ids[r]].threshold, 0.0)

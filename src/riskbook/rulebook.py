@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import inf
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
@@ -31,7 +32,7 @@ class Realization(NamedTuple):
 @dataclass(frozen=True)
 class Rule:
     """A violation table over (system trajectory, environment trajectory) pairs,
-    kept as a read-only copy whose every violation is nonnegative."""
+    kept as a read-only copy whose every violation is finite and nonnegative."""
 
     id: str
     violations: Mapping[tuple[str, str], float]
@@ -39,9 +40,9 @@ class Rule:
     def __post_init__(self) -> None:
         object.__setattr__(self, "violations", MappingProxyType(dict(self.violations)))
         for key, v in self.violations.items():
-            if not v >= 0:  # also rejects NaN
+            if not 0.0 <= v < inf:  # also rejects NaN
                 raise ValidationError(
-                    f"rule {self.id!r} has violation {v!r} at {key!r}; violations must be nonnegative"
+                    f"rule {self.id!r} has violation {v!r} at {key!r}; violations must be finite and nonnegative"
                 )
 
     __reduce__ = rebuild

@@ -3,6 +3,7 @@ import json
 import pytest
 
 import riskbook as rb
+from riskbook import cli
 from riskbook.cli import main
 
 
@@ -169,6 +170,18 @@ class TestExitCodes:
         assert main(["rank", str(path)]) == 1
         assert "rules[0].violations.tau1.xi1" in self.one_line_error(capsys)
 
+    @pytest.mark.parametrize("cell", ["1e400", "Infinity"])
+    def test_infinite_violation_is_a_validation_error(self, tmp_path, capsys, cell):
+        doc = json.loads(rb.bundled_instance_text())
+        assert doc["rules"][0]["id"] == "r1"
+        doc["rules"][0]["violations"]["tau1"]["xi1"] = 12345.5
+        doc["rules"][0]["risk"] = {"measure": "cvar", "alpha": 0.9, "threshold": 0}
+        path = tmp_path / "inf.json"
+        path.write_text(json.dumps(doc).replace("12345.5", cell), encoding="utf-8")
+        assert main(["rank", str(path)]) == 1
+        err = self.one_line_error(capsys)
+        assert "'r1'" in err and "('tau1', 'xi1')" in err and "finite and nonnegative" in err
+
     def test_override_before_rule_scope(self, av_file, capsys):
         assert main(["rank", av_file, "--measure", "expected"]) == 2
         assert "must follow a --rule" in capsys.readouterr().err
@@ -176,3 +189,45 @@ class TestExitCodes:
     def test_override_validation_failure(self, av_file, capsys):
         assert main(["rank", av_file, "--rule", "r2", "--measure", "var"]) == 1
         assert "alpha" in capsys.readouterr().err
+
+
+class TestSharedParser:
+    """``main`` parses every call with one parser per process; no call's
+    overrides or errors reach a later call."""
+
+    ARGVS = (
+        ["rank", "{file}", "--rule", "r1", "--threshold", "175"],
+        ["rank", "{file}"],
+        ["rank", "{file}", "--json", "--rule", "r1", "--measure", "cvar", "--alpha", "0.9988"],
+        ["rank", "{file}", "--json"],
+        ["explain", "{file}", "tau2", "tau1", "--rule", "r1", "--measure", "worst_case", "--threshold", "175"],
+        ["explain", "{file}", "tau2", "tau1"],
+        ["risk", "{file}", "--rule", "r2"],
+        ["check", "{file}"],
+    )
+
+    @staticmethod
+    def run(argv, capsys):
+        code = main(argv)
+        return code, capsys.readouterr().out
+
+    def test_each_call_matches_a_fresh_parser(self, av_file, capsys):
+        argvs = [[a.format(file=av_file) for a in argv] for argv in self.ARGVS]
+        fresh = []
+        for argv in argvs:
+            cli._parser.cache_clear()
+            fresh.append(self.run(argv, capsys))
+        assert cli._parser() is cli._parser()
+        assert [self.run(argv, capsys) for argv in argvs] == fresh
+        assert [self.run(argv, capsys) for argv in reversed(argvs)] == fresh[::-1]
+        assert fresh[2] != fresh[3] and fresh[4] != fresh[5]  # the overrides show in the output
+
+    def test_usage_errors_exit_2_and_leave_the_parser_usable(self, av_file, capsys):
+        expected = self.run(["rank", av_file], capsys)
+        for argv in (["rank"], ["rank", av_file, "--measure", "nope"], ["bogus", av_file]):
+            with pytest.raises(SystemExit) as exit_info:
+                main(argv)
+            assert exit_info.value.code == 2
+            assert "usage" in capsys.readouterr().err
+        assert self.run(["rank", av_file], capsys) == expected
+        assert cli.build_parser() is not cli.build_parser()

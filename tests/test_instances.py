@@ -353,6 +353,28 @@ class TestOverrides:
         with pytest.raises(rb.UnknownRule):
             with_risk_config(av, "r9", threshold=1.0)
 
+    def test_reconfigure_checks_no_table(self, av, monkeypatch):
+        grids = []
+        require_grid = rb.riskaware._require_grid
+        monkeypatch.setattr(rb.riskaware, "_require_grid", lambda *args: grids.append(require_grid(*args)))
+        inst = with_risk_config(with_risk_config(av, "r1", measure="cvar"), "r2", threshold=2.0)
+        assert grids == []
+        assert inst.risk_configs["r1"].measure.kind == "cvar" and inst.risk_configs["r2"].threshold == 2.0
+        assert dataclasses.replace(inst) == inst
+        assert len(grids) == 1 + len(av.rulebook.rules)  # a new instance checks every table
+
+    def test_reconfigured_copy_is_read_only_and_checks_its_configurations(self, av):
+        inst = with_risk_config(av, "r1", threshold=175.0)
+        with pytest.raises(TypeError):
+            inst.risk_configs["r1"] = av.risk_configs["r1"]
+        configs = dict(av.risk_configs)
+        del configs["r2"]
+        with pytest.raises(rb.ValidationError, match="rule 'r2' has no risk configuration"):
+            av._reconfigured(configs)
+        configs["r9"] = configs["r2"] = av.risk_configs["r2"]
+        with pytest.raises(rb.ValidationError, match="risk configuration given for unknown rule 'r9'"):
+            av._reconfigured(configs)
+
 
 class TestLoad:
     def test_load_from_file(self, tmp_path):

@@ -183,6 +183,100 @@ class TestGroupedAtoms:
                     reference = assess_support(instance.risk_configs[rule.id].measure, expected)
                     assert repr(ev.risk(r, t)) == repr(reference)
 
+    # The cases below reach the builder's shortcut for well-separated values
+    # and its fallback to the merge, at up to 200 responses and 400 scenarios.
+
+    SIZES = ((1, 1), (2, 1), (7, 3), (60, 12), (400, 5), (400, 200), (150, 200))
+
+    @staticmethod
+    def separated(rng, n):
+        """``n`` values from a continuous range, in practice never within TOL."""
+        return [rng.uniform(0.5, 10.0) for _ in range(n)]
+
+    @staticmethod
+    def tied(rng, values):
+        """``values`` with some cells set to an exact tie, near-ties within and
+        across TOL of it, both signed zeros, and ``TOL`` and ``2 * TOL``, whose
+        gap is exactly TOL."""
+        values = list(values)
+        cells = rng.sample(range(len(values)), min(len(values), 9))
+        base = values[cells[0]]
+        injected = [base, base + 6e-10, base + 1.2e-9, 0.0, -0.0, rb.TOL, 2 * rb.TOL, base + 2e-9]
+        rng.shuffle(injected)
+        for k, v in zip(cells[1:], injected):
+            values[k] = v
+        return values
+
+    def check_distribution(self, space, values):
+        expected = sorted_pairs_atoms(zip(values, (space.probs[w] for w in space.scenarios)))
+        assert same_atoms(distribution(space, RandomCost(dict(zip(space.scenarios, values)))), expected)
+
+    def check_evaluation(self, rng, space, rows):
+        """``rows[r][t]`` is rule ``r``'s violation row under trajectory ``t``;
+        every scenario triggers a response drawn at random."""
+        envs = tuple(f"e{i}" for i in range(len(rows[0][0])))
+        trajectories = tuple(f"t{i}" for i in range(len(rows[0])))
+        rules = [
+            rb.Rule(f"r{r}", {(t, e): v for t, row in zip(trajectories, by_t) for e, v in zip(envs, row)})
+            for r, by_t in enumerate(rows)
+        ]
+        measures = [rb.RiskMeasure.worst_case(), rb.RiskMeasure.var(0.9), rb.RiskMeasure.cvar(0.9)]
+        instance = rb.Instance(
+            space,
+            trajectories,
+            envs,
+            rb.InteractionModel({(t, w): rng.choice(envs) for t in trajectories for w in space.scenarios}),
+            rb.Rulebook(tuple(rules), rb.build_preorder([rule.id for rule in rules], [])),
+            {rule.id: rb.RiskConfig(measures[i % 3], 0.0) for i, rule in enumerate(rules)},
+        )
+        responses = instance.interaction.responses
+        ev = riskaware._Evaluation(instance)
+        for r, rule in enumerate(rules):
+            for t, trajectory in enumerate(trajectories):
+                expected = sorted_pairs_atoms(
+                    (rule.violations[(trajectory, responses[(trajectory, w)])], space.probs[w])
+                    for w in space.scenarios
+                )
+                assert same_atoms(ev.atoms(r, t), expected)
+                reference = assess_support(instance.risk_configs[rule.id].measure, expected)
+                assert repr(ev.risk(r, t)) == repr(reference)
+
+    @pytest.mark.parametrize("n_scenarios,n_envs", SIZES)
+    def test_separated_values(self, n_scenarios, n_envs):
+        rng = random.Random(n_scenarios * 1000 + n_envs)
+        for _ in range(3):
+            space = random_space(rng, n_scenarios)
+            self.check_distribution(space, self.separated(rng, n_scenarios))
+            rows = [[self.separated(rng, n_envs) for _ in range(2)] for _ in range(3)]
+            self.check_evaluation(rng, space, rows)
+
+    @pytest.mark.parametrize("n_scenarios,n_envs", SIZES)
+    def test_separated_values_with_ties(self, n_scenarios, n_envs):
+        rng = random.Random(n_scenarios * 1000 + n_envs + 1)
+        for _ in range(6):
+            space = random_space(rng, n_scenarios)
+            self.check_distribution(space, self.tied(rng, self.separated(rng, n_scenarios)))
+            rows = [[self.tied(rng, self.separated(rng, n_envs)) for _ in range(2)] for _ in range(3)]
+            self.check_evaluation(rng, space, rows)
+
+    def test_gap_of_exactly_tol_merges(self):
+        assert 2 * rb.TOL - rb.TOL == rb.TOL
+        space = FiniteProbSpace(("a", "b", "c"), {"a": 0.25, "b": 0.25, "c": 0.5})
+        values = [2 * rb.TOL, rb.TOL, 3.0]
+        self.check_distribution(space, values)
+        assert distribution(space, RandomCost(dict(zip(space.scenarios, values)))) == [(rb.TOL, 0.5), (3.0, 0.5)]
+        self.check_evaluation(random.Random(13), space, [[values]])
+
+    def test_single_group(self):
+        rng = random.Random(14)
+        for n_scenarios in (1, 5, 400):
+            space = random_space(rng, n_scenarios)
+            self.check_distribution(space, [rng.choice((0.0, -0.0, 4.5))] * n_scenarios)
+            self.check_evaluation(rng, space, [[self.separated(rng, 1)], [[-0.0]], [[0.0]]])
+        one = FiniteProbSpace(("a", "b", "c"), {"a": 0.0, "b": 1.0, "c": 0.0})
+        self.check_distribution(one, [7.0, 2.5, 1.0])
+        self.check_evaluation(rng, one, [[self.separated(rng, 5)]])
+
 
 # hypothesis strategies for the numeric invariants
 
