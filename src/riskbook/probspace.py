@@ -15,6 +15,16 @@ merging values within tolerance, down to the order of each sum and the sign
 of a zero.  The builder sorts the groups once; when neighbouring values are
 all further apart than the tolerance, as continuous costs are, the groups
 are the atoms, and it returns them with no Python step per group.
+
+Every sum of floats in the package goes through one of two helpers here,
+both adding left to right from ``0.0``: :func:`_sum` over a sequence of
+terms and :func:`_total` over the probabilities at given positions.  Builtin
+:func:`sum` is compensated from Python 3.12 on, so it would move the last
+digits of reported figures with the interpreter; with one order of addition
+every report is byte-identical on every supported Python, and a change of
+summation (exact arithmetic, say) is a change to these two helpers.  Only
+the running totals of VaR and CVaR in :mod:`riskbook.risk`, which need each
+partial sum, keep their own loops, adding in the same order.
 """
 
 from __future__ import annotations
@@ -65,7 +75,7 @@ class FiniteProbSpace:
         for omega in self.scenarios:
             if not self.probs[omega] >= 0:  # also rejects NaN
                 raise ValidationError(f"probability of {omega!r} is negative")
-        total = sum(self.probs[omega] for omega in self.scenarios)
+        total = _sum(self.probs[omega] for omega in self.scenarios)
         if abs(total - 1.0) > TOL:
             raise ValidationError(f"probabilities sum to {total!r}, expected 1")
 
@@ -111,7 +121,7 @@ def _check_domain(space: FiniteProbSpace, *costs: RandomCost) -> None:
 def expectation(space: FiniteProbSpace, f: RandomCost) -> float:
     """Probability-weighted sum of ``f`` over the scenarios, in declared order."""
     _check_domain(space, f)
-    return sum(space.probs[omega] * f.values[omega] for omega in space.scenarios)
+    return _sum(space.probs[omega] * f.values[omega] for omega in space.scenarios)
 
 
 def exceedance_prob(space: FiniteProbSpace, f: RandomCost, g: RandomCost, relation: str = ">") -> float:
@@ -126,7 +136,7 @@ def exceedance_prob(space: FiniteProbSpace, f: RandomCost, g: RandomCost, relati
         holds = _RELATIONS[relation]
     except KeyError:
         raise ValueError(f"unsupported relation {relation!r}") from None
-    return sum(
+    return _sum(
         space.probs[omega]
         for omega in space.scenarios
         if holds(f.values[omega], g.values[omega])
@@ -155,8 +165,18 @@ def _ascending(probs: Sequence[float]) -> tuple[list[int], list[float]]:
     return [k for _, k in ascending], [p for p, _ in ascending]
 
 
+def _sum(values: Iterable[float]) -> float:
+    """The sum of ``values``, added left to right from ``0.0``."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def _total(probabilities: list[float], positions: Iterable[int], total: float = 0.0) -> float:
-    """``total`` plus the probabilities at ``positions``, added left to right."""
+    """``total`` plus the probabilities at ``positions``, added left to right.
+    Its own loop: :func:`_sum` over a ``map`` measured about 300 ns slower per
+    call, and the atoms of a tail-risk rank make over a thousand calls."""
     for i in positions:
         total += probabilities[i]
     return total

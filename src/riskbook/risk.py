@@ -9,9 +9,10 @@ objective is piecewise linear in ``beta`` with kinks only at support values,
 so the minimum is attained there.  One pass over suffix sums of ``p`` and
 ``p * v`` gives the objective at every support point in linear time; the
 points whose sum lies within rounding of the minimum are then re-evaluated
-term by term, so the result does not depend on how the sums rounded.  A
-user-supplied callable can serve as a custom measure, in which case only
-spot checks of monotonicity are possible.
+term by term, added left to right by :func:`~riskbook.probspace._sum`, so
+the result depends neither on how the suffix sums rounded nor on the
+interpreter.  A user-supplied callable can serve as a custom measure, in
+which case only spot checks of monotonicity are possible.
 
 Worst case, VaR and CVaR depend on a cost only through its distribution, so
 :func:`assess_support` takes the atoms directly; :func:`assess` builds them
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .errors import EmptySupport, InvalidAlpha, ValidationError
-from .probspace import FiniteProbSpace, RandomCost, distribution, expectation
+from .probspace import FiniteProbSpace, RandomCost, _sum, distribution, expectation
 from .tolerance import ge
 
 EXPECTED = "expected"
@@ -114,7 +115,7 @@ def _cvar(atoms: list[tuple[float, float]], alpha: float) -> float:
     scale = 1.0 / (1.0 - alpha)
 
     def objective(beta: float) -> float:
-        shortfall = sum(p * (v - beta) for v, p in atoms if v > beta)
+        shortfall = _sum(p * (v - beta) for v, p in atoms if v > beta)
         return beta + scale * shortfall
 
     # Atoms ascend strictly, so the atoms above v are exactly the later ones.

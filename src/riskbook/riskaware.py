@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, wraps
+from math import inf, isfinite
 from operator import mul
 from types import MappingProxyType
 from typing import Mapping
@@ -37,7 +38,7 @@ from .errors import (
     require_unique,
 )
 from .preorder import Verdict
-from .probspace import FiniteProbSpace, RandomCost, _ascending, _atoms, _total, exceedance_prob
+from .probspace import FiniteProbSpace, RandomCost, _ascending, _atoms, _sum, _total, exceedance_prob
 from .risk import CUSTOM, EXPECTED, RiskMeasure, assess, assess_support, is_strictly_monotone_class
 from .rulebook import Realization, Rulebook, compare_profiles, compare_realizations
 from .tolerance import exceeding, le, lt
@@ -71,8 +72,8 @@ class RiskConfig:
     threshold: float
 
     def __post_init__(self) -> None:
-        if not self.threshold >= 0:
-            raise ValidationError(f"threshold must be nonnegative, got {self.threshold!r}")
+        if not 0 <= self.threshold < inf:  # also rejects NaN
+            raise ValidationError(f"threshold must be finite and nonnegative, got {self.threshold!r}")
 
 
 def _require_grid(table: Mapping, rows: tuple[str, ...], columns: tuple[str, ...], owner: str) -> None:
@@ -248,10 +249,15 @@ class _Evaluation:
     derived here: the cost of rule ``r`` under trajectory ``t`` is the list
     ``row[e]`` over the scenarios' responses ``e``, where ``row`` is ``r``'s
     violation row for ``t``.  Expected cost sums that list against the
-    probabilities scenario by scenario, in declaration order.  Worst case,
-    VaR and CVaR read atoms built from ``t``'s response groups, so at most
-    one group per environment trajectory.  Custom measures receive a
-    :class:`RandomCost`.
+    probabilities scenario by scenario, in declaration order, and a
+    witness's probability sums its scenarios' probabilities in the same
+    order, both left to right through :mod:`riskbook.probspace`'s helpers,
+    so every interpreter gives the same bits.  Worst case, VaR and CVaR
+    read atoms built from ``t``'s response groups, so at most one group per
+    environment trajectory.  Custom measures receive a :class:`RandomCost`.
+    A risk of any measure that is not finite, such as an expected cost that
+    overflows, is a :class:`~riskbook.errors.ValidationError` naming the
+    rule, the trajectory and the value, so no report prints ``Infinity``.
 
     Safety under one rule is one test, :meth:`within_threshold`.  Every
     verdict, and every rationale a report gives for one, reads the one
@@ -287,10 +293,17 @@ class _Evaluation:
     def risk(self, r: int, t: int) -> float:
         measure = self.instance.risk_configs[self.rule_ids[r]].measure
         if measure.kind == EXPECTED:
-            return sum(map(mul, self.compiled.probs, self.cost(r, t)))
-        if measure.kind == CUSTOM:
-            return assess(measure, self.instance.space, self.random_cost(r, t))
-        return assess_support(measure, self.atoms(r, t))
+            value = _sum(map(mul, self.compiled.probs, self.cost(r, t)))
+        elif measure.kind == CUSTOM:
+            value = assess(measure, self.instance.space, self.random_cost(r, t))
+        else:
+            value = assess_support(measure, self.atoms(r, t))
+        if not isfinite(value):
+            raise ValidationError(
+                f"risk of rule {self.rule_ids[r]!r} under trajectory {self.trajectories[t]!r} is "
+                f"{value!r}; risks must be finite"
+            )
+        return value
 
     def atoms(self, r: int, t: int) -> list[tuple[float, float]]:
         """Distribution of rule ``r``'s induced cost under ``t``, equal to what
@@ -342,12 +355,12 @@ class _Evaluation:
         """Every rule that penalizes challenger ``c`` more than ``w`` on a
         positive-probability scenario set, with that set and its probability.
         One scan per pair serves every improving rule."""
-        scenario, prob = self.scenarios.__getitem__, self.compiled.probs.__getitem__
+        scenario = self.scenarios.__getitem__
         found = []
         for r in range(len(self.rule_ids)):
             worse = exceeding(self.cost(r, c), self.cost(r, w), self.compiled.positive)
             if worse:
-                found.append((r, tuple(map(scenario, worse)), sum(map(prob, worse))))
+                found.append((r, tuple(map(scenario, worse)), _total(self.compiled.probs, worse)))
         return found
 
     def witnesses(self, w: int, c: int, improving_rule: str) -> list[TradeoffWitness]:

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -181,6 +182,36 @@ class TestExitCodes:
         assert main(["rank", str(path)]) == 1
         err = self.one_line_error(capsys)
         assert "'r1'" in err and "('tau1', 'xi1')" in err and "finite and nonnegative" in err
+
+    @pytest.mark.parametrize("command", ["rank", "risk", "explain", "check"])
+    def test_overflowing_risk_is_a_validation_error(self, tmp_path, capsys, command):
+        # Probabilities within tolerance of 1 but above it turn finite costs
+        # at the float maximum into an infinite expected cost.
+        doc = json.loads(rb.bundled_instance_text())
+        doc["scenarios"][0]["prob"] += 5e-10
+        assert doc["rules"][1]["id"] == "r2" and doc["rules"][1]["risk"]["measure"] == "expected"
+        for trajectory in ("tau1", "tau2"):
+            doc["rules"][1]["violations"][trajectory] = {"xi1": sys.float_info.max, "xi2": sys.float_info.max}
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        extra = {"risk": ["--rule", "r2"], "explain": ["tau1", "tau2"]}.get(command, [])
+        assert main([command, str(path), "--json"] + extra) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1 and "Traceback" not in err
+        assert "'r2'" in err and "'tau1'" in err and "inf" in err and "finite" in err
+
+    def test_infinite_threshold_in_the_file_is_a_validation_error(self, tmp_path, capsys):
+        text = rb.bundled_instance_text()
+        path = tmp_path / "inf-threshold.json"
+        path.write_text(text.replace('"threshold": 0', '"threshold": Infinity', 1), encoding="utf-8")
+        assert main(["risk", str(path), "--rule", "r1", "--json"]) == 1
+        err = self.one_line_error(capsys)
+        assert "rules[0].risk" in err and "finite and nonnegative" in err
+
+    def test_infinite_threshold_override_is_a_validation_error(self, av_file, capsys):
+        assert main(["risk", av_file, "--rule", "r1", "--threshold", "inf", "--json"]) == 1
+        err = self.one_line_error(capsys)
+        assert "'r1'" in err and "finite and nonnegative" in err
 
     def test_override_before_rule_scope(self, av_file, capsys):
         assert main(["rank", av_file, "--measure", "expected"]) == 2

@@ -103,6 +103,14 @@ class TestRiskOf:
         inst = rb.with_risk_config(av, "r1", measure="worst_case")
         assert risk_of(inst, "r1", "tau2") == 175.0
 
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_risk_is_rejected_naming_rule_and_trajectory(self, av, value):
+        configs = dict(av.risk_configs)
+        configs["r3"] = rb.RiskConfig(RiskMeasure.custom(lambda space, f: value), 0.0)
+        inst = dataclasses.replace(av, risk_configs=configs)
+        with pytest.raises(rb.ValidationError, match=f"'r3' under trajectory 'tau1' is {value!r}"):
+            risk_of(inst, "r3", "tau1")
+
 
 class TestRiskAwareViolation:
     def test_threshold_boundary_is_forgiven(self, av_worst_case):

@@ -1,10 +1,14 @@
 import itertools
+import math
 import random
+import sys
 
 import pytest
 
 import riskbook as rb
 from riskbook import Realization, Verdict, compare_realizations, violation
+from riskbook.riskaware import _Evaluation
+from riskbook.rulebook import compare_profiles
 
 from instgen import all_realizations, brute_at_most_as_bad, brute_verdict, random_instance
 
@@ -75,6 +79,39 @@ class TestCompareRealizations:
         realizations = all_realizations(av)
         for x, y in itertools.product(realizations, repeat=2):
             assert compare_realizations(av.rulebook, x, y) is brute_verdict(av.rulebook, x, y)
+
+
+MAX = sys.float_info.max
+
+
+class TestProfileReflexivity:
+    """A profile compared with itself finds no rule on either side, so the
+    trajectory order is reflexive by construction and ``check`` scans only
+    transitivity."""
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [0.0] * 4,
+            [-0.0] * 4,
+            [MAX] * 4,
+            [-MAX] * 4,
+            [math.inf] * 4,
+            [math.nan] * 4,
+            [0.0, -0.0, MAX, math.nextafter(MAX, 0.0)],
+        ],
+    )
+    def test_compare_profiles_of_a_profile_with_itself(self, av, values):
+        ids = av.rulebook.rule_ids
+        profile = dict(zip(ids, values, strict=True))
+        assert compare_profiles(av.rulebook.priority, ids, profile, profile) == ((), (), True, True)
+
+    def test_every_trajectory_is_at_most_as_risky_as_itself_on_random_instances(self):
+        rng = random.Random(2026)
+        for _ in range(200):
+            ev = _Evaluation(random_instance(rng))
+            for t in range(len(ev.trajectories)):
+                assert ev.comparison(t, t)[2]
 
 
 class TestPreorderLaws:
