@@ -7,8 +7,9 @@ Overrides are scoped: ``--rule ID`` opens a scope and the following
 ``--measure``/``--alpha``/``--threshold`` flags apply to it, so several
 rules can be reconfigured in one invocation.
 
-Exit codes: 0 on success, 1 on validation or evaluation errors, 2 when the
-document (or the command line) cannot be parsed.
+Exit codes: 0 on success, 1 on validation or evaluation errors (a failed
+``check`` and a ``--rule`` naming an undeclared rule among them), 2 when
+the document (or the command line) cannot be parsed.
 """
 
 from __future__ import annotations
@@ -33,17 +34,23 @@ from .risk import MEASURE_KINDS
 
 
 class _ScopedOverride(argparse.Action):
-    """Records override flags in command-line order so --rule can scope them."""
+    """Fills the override table ``scopes`` in command-line order: ``--rule ID``
+    opens (or reopens) ID's scope, and the other flags fill the open one.
+    Flags before any ``--rule`` go to the scope ``None``, which ``main``
+    reports as a usage error."""
 
     def __call__(self, parser, namespace, values, option_string=None):
-        events = getattr(namespace, "override_events", None)
-        if events is None:
-            events = []
-            namespace.override_events = events
-        events.append((self.dest, values))
+        if namespace.scopes is None:
+            namespace.scopes = {}
+        if self.dest == "rule":
+            namespace.rule = values
+            namespace.scopes.setdefault(values, {})
+        else:
+            namespace.scopes.setdefault(namespace.rule, {})[self.dest] = values
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
+    parser.set_defaults(scopes=None)  # the cached parser's defaults are shared by every call
     parser.add_argument("file", help="path to a JSON instance document")
     parser.add_argument("--json", action="store_true", help="emit machine-readable output")
     parser.add_argument(
@@ -105,57 +112,28 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _collect_scopes(events: list[tuple[str, object]]) -> tuple[list[str], dict[str, dict]]:
-    """Group override events into per-rule scopes, keeping --rule order."""
-    order: list[str] = []
-    scopes: dict[str, dict] = {}
-    current: str | None = None
-    for key, value in events:
-        if key == "rule":
-            current = str(value)
-            if current not in scopes:
-                order.append(current)
-                scopes[current] = {}
-        else:
-            if current is None:
-                raise _UsageError(f"--{key} must follow a --rule flag naming its scope")
-            scopes[current][key] = value
-    return order, scopes
-
-
-class _UsageError(Exception):
-    pass
-
-
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
-    events = getattr(args, "override_events", []) or []
+    scopes = args.scopes or {}
 
-    try:
-        rule_order, scopes = _collect_scopes(events)
-        if args.command == "risk" and not rule_order:
-            raise _UsageError("the risk subcommand requires --rule to select a rule")
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
+    usage = None
+    if None in scopes:
+        usage = f"--{next(iter(scopes[None]))} must follow a --rule flag naming its scope"
+    elif args.command == "risk" and not scopes:
+        usage = "the risk subcommand requires --rule to select a rule"
+    if usage:
+        print(f"usage error: {usage}", file=sys.stderr)
         return 2
 
     try:
         instance = load_instance(args.file)
-        for rule_id in rule_order:
-            overrides = scopes[rule_id]
-            if overrides:
-                instance = with_risk_config(
-                    instance,
-                    rule_id,
-                    measure=overrides.get("measure"),
-                    alpha=overrides.get("alpha"),
-                    threshold=overrides.get("threshold"),
-                )
+        for rule_id, overrides in scopes.items():
+            instance = with_risk_config(instance, rule_id, **overrides)
 
         if args.command == "rank":
             print(render_rank(run_rank(instance), as_json=args.json), end="")
         elif args.command == "risk":
-            table = run_risk_table(instance, rule_order[0])
+            table = run_risk_table(instance, next(iter(scopes)))
             print(render_risk_table(table, as_json=args.json), end="")
         elif args.command == "explain":
             explanation = run_explain(instance, args.first, args.second)

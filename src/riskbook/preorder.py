@@ -15,7 +15,7 @@ from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
-from .errors import DuplicateElement, UnknownElement, rebuild, require_unique
+from .errors import DuplicateElement, UnknownElement, ValidationError, rebuild, require_unique
 
 
 class Verdict(Enum):
@@ -68,14 +68,14 @@ class Preorder:
                 raise UnknownElement(f"relation pair ({a!r}, {b!r}) references an undeclared element")
         for a in self.elements:
             if (a, a) not in self.relation:
-                raise ValueError(f"relation is not reflexive: missing ({a!r}, {a!r})")
+                raise ValidationError(f"relation is not reflexive: missing ({a!r}, {a!r})")
         above: dict[str, set[str]] = {a: set() for a in self.elements}
         for a, b in self.relation:
             above[a].add(b)
         for a, reach in above.items():
             for b in reach:
                 if not above[b] <= reach:
-                    raise ValueError(f"relation is not transitive at ({a!r}, {b!r})")
+                    raise ValidationError(f"relation is not transitive at ({a!r}, {b!r})")
 
     __reduce__ = rebuild
 

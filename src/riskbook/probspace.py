@@ -36,7 +36,7 @@ from operator import itemgetter, sub
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
-from .errors import DomainMismatch, UnknownScenario, ValidationError, rebuild, require_unique
+from .errors import DomainMismatch, PreconditionViolated, UnknownScenario, ValidationError, rebuild, require_unique
 from .tolerance import TOL, eq, ge, gt, le, lt
 
 # Relation tokens accepted by exceedance_prob; unicode forms map to ASCII.
@@ -135,7 +135,7 @@ def exceedance_prob(space: FiniteProbSpace, f: RandomCost, g: RandomCost, relati
     try:
         holds = _RELATIONS[relation]
     except KeyError:
-        raise ValueError(f"unsupported relation {relation!r}") from None
+        raise PreconditionViolated(f"unsupported relation {relation!r}") from None
     return _sum(
         space.probs[omega]
         for omega in space.scenarios

@@ -79,10 +79,12 @@ class RiskConfig:
 def _require_grid(table: Mapping, rows: tuple[str, ...], columns: tuple[str, ...], owner: str) -> None:
     """Raise unless ``table`` has one entry per (row, column) pair and no other,
     naming the first undeclared key in table order or else the first missing
-    pair in declaration order."""
+    pair in declaration order.  A key is declared when it is a member of
+    rows × columns: a pair whose row and column are declared (tested through
+    the two id sets, which is faster than hashing every key as a tuple)."""
     row_ids, column_ids = set(rows), set(columns)
     for key in table:
-        if len(key) != 2 or key[0] not in row_ids or key[1] not in column_ids:
+        if not isinstance(key, tuple) or len(key) != 2 or key[0] not in row_ids or key[1] not in column_ids:
             raise ValidationError(f"{owner} has an entry for undeclared pair {key!r}")
     if len(table) != len(rows) * len(columns):
         key = next((r, c) for r in rows for c in columns if (r, c) not in table)

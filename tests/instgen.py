@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 
 import riskbook as rb
+from riskbook.probspace import _sum
 
 VALUES = [0.0, 0.0, 0.0, 0.5, 1.0, 2.5, 4.0, 7.5, 12.0, 30.0]
 ALPHAS = [0.0, 0.25, 0.5, 0.8, 0.9, 0.95, 0.99, 1.0]
@@ -24,7 +25,7 @@ def random_space(rng: random.Random, max_scenarios: int = 6) -> rb.FiniteProbSpa
     weights = [rng.uniform(0.05, 1.0) for _ in ids]
     if n > 1 and rng.random() < 0.3:
         weights[rng.randrange(n)] = 0.0
-    total = sum(weights)
+    total = _sum(weights)  # left to right on every Python, so each seed draws one instance
     return rb.FiniteProbSpace(ids, {w: x / total for w, x in zip(ids, weights)})
 
 

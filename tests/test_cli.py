@@ -262,3 +262,89 @@ class TestSharedParser:
             assert "usage" in capsys.readouterr().err
         assert self.run(["rank", av_file], capsys) == expected
         assert cli.build_parser() is not cli.build_parser()
+
+
+class TestOverrideScopes:
+    @pytest.mark.parametrize("override", [[], ["--threshold", "1"]])
+    @pytest.mark.parametrize("command", ["rank", "risk", "explain", "check"])
+    def test_undeclared_rule_is_a_validation_failure(self, av_file, capsys, command, override):
+        extra = ["tau2", "tau1"] if command == "explain" else []
+        assert main([command, av_file, *extra, "--rule", "nope", *override]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: unknown rule 'nope'\n"
+
+    def test_reopened_scope_collects_its_flags(self, av_file, capsys):
+        once = ["--rule", "r1", "--measure", "worst_case", "--threshold", "175", "--rule", "r2"]
+        reopened = ["--rule", "r1", "--threshold", "175", "--rule", "r2", "--rule", "r1", "--measure", "worst_case"]
+        assert main(["rank", av_file, "--json", *once]) == 0
+        expected = capsys.readouterr().out
+        assert main(["rank", av_file, "--json", *reopened]) == 0
+        assert capsys.readouterr().out == expected
+        assert json.loads(expected)["optimal"] == ["tau2"]
+
+    def test_abbreviated_flag_before_any_rule_is_a_usage_error(self, av_file, capsys):
+        assert main(["rank", av_file, "--thr", "1", "--rule", "r1"]) == 2
+        assert capsys.readouterr().err == "usage error: --threshold must follow a --rule flag naming its scope\n"
+
+
+class TestFailedCheck:
+    def test_intransitive_order_exits_1_naming_the_triple(self, tmp_path, capsys):
+        # Violations 0, 6e-10 and 1.2e-9: each is within the absolute
+        # tolerance of the next, but c is not within it of a.
+        violations = {"a": 0.0, "b": 6e-10, "c": 1.2e-9}
+        doc = {
+            "scenarios": [{"id": "w", "prob": 1.0}],
+            "system_trajectories": list(violations),
+            "environment_trajectories": ["e"],
+            "interaction": {t: {"w": "e"} for t in violations},
+            "rules": [
+                {
+                    "id": "r",
+                    "violations": {t: {"e": v} for t, v in violations.items()},
+                    "risk": {"measure": "expected", "threshold": 0},
+                }
+            ],
+            "priority": [],
+        }
+        path = tmp_path / "intransitive.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["check", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert "check FAILED" in out and "not transitive at (c, b, a)" in out
+
+
+def _set(path, value):
+    def edit(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        doc[path[-1]] = value
+
+    return edit
+
+
+# Each edit breaks the document's shape; the one-line error names the JSON path.
+SHAPE_ERRORS = {
+    "object expected": (_set(["interaction"], []), "interaction: expected an object, got list"),
+    "list expected": (_set(["scenarios"], {}), "scenarios: expected a list, got dict"),
+    "string expected": (_set(["system_trajectories", 0], 1), "system_trajectories[0]: expected a string, got int"),
+    "interaction cell not a string": (
+        _set(["interaction", "tau1", "w2"], 7),
+        "interaction.tau1.w2: expected a string, got int",
+    ),
+    "unexpected risk key": (_set(["rules", 0, "risk", "beta"], 1), "rules[0].risk: unexpected key 'beta'"),
+    "priority entry not a pair": (
+        lambda doc: doc["priority"].append(["r1"]),
+        "priority[3]: expected a [higher, lower] pair",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SHAPE_ERRORS))
+def test_shape_error_exits_1_naming_the_json_path(tmp_path, capsys, case):
+    edit, message = SHAPE_ERRORS[case]
+    doc = json.loads(rb.bundled_instance_text())
+    edit(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["rank", str(path)]) == 1
+    assert TestExitCodes.one_line_error(capsys) == f"error: {message}\n"

@@ -130,6 +130,13 @@ class TestParse:
         with pytest.raises(rb.ValidationError, match="more than once"):
             instance_from_dict(bad)
 
+    def test_key_that_is_not_a_pair_is_undeclared(self, av):
+        violations = dict(av.rulebook.rules[0].violations)
+        violations[5] = 1.0
+        rules = (rb.Rule("r1", violations),) + av.rulebook.rules[1:]
+        with pytest.raises(rb.ValidationError, match="rule 'r1' has an entry for undeclared pair 5$"):
+            dataclasses.replace(av, rulebook=rb.Rulebook(rules, av.rulebook.priority))
+
 
 def _edit(path, value):
     """An edit that sets ``doc[path[0]]...[path[-1]] = value``."""
@@ -177,6 +184,12 @@ class TestRoundTrip:
     def test_serialization_is_deterministic(self):
         inst = bundled_instance()
         assert serialize_instance(inst) == serialize_instance(parse_instance(serialize_instance(inst)))
+
+    def test_custom_measure_cannot_be_serialized(self, av):
+        configs = dict(av.risk_configs)
+        configs["r2"] = rb.RiskConfig(rb.RiskMeasure.custom(lambda sp, f: 0.0), 0.0)
+        with pytest.raises(rb.ValidationError, match="rule 'r2' uses a custom measure"):
+            rb.instance_to_dict(dataclasses.replace(av, risk_configs=configs))
 
     def test_round_trip_survives_overrides(self):
         inst = with_risk_config(bundled_instance(), "r1", measure="cvar", alpha=0.9988, threshold=175.0)

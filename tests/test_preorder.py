@@ -138,10 +138,18 @@ class TestInvariants:
                 assert p.minimal_elements(subset)
 
     def test_relation_must_be_closed_to_construct(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(rb.ValidationError, match="not transitive"):
             rb.Preorder(
                 ("a", "b", "c"),
                 frozenset(
                     {("a", "a"), ("b", "b"), ("c", "c"), ("a", "b"), ("b", "c")}
                 ),  # missing (a, c)
             )
+
+    def test_relation_must_be_reflexive_to_construct(self):
+        with pytest.raises(rb.ValidationError, match=r"not reflexive: missing \('b', 'b'\)"):
+            rb.Preorder(("a", "b"), frozenset({("a", "a"), ("a", "b")}))
+
+    def test_relation_must_stay_within_the_elements(self):
+        with pytest.raises(rb.UnknownElement, match=r"\('a', 'z'\) references an undeclared element"):
+            rb.Preorder(("a", "b"), frozenset({("a", "a"), ("b", "b"), ("a", "z")}))

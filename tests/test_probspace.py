@@ -80,7 +80,7 @@ class TestExceedance:
         assert exceedance_prob(space, f, g, "≤") == exceedance_prob(space, f, g, "<=")
 
     def test_unknown_relation(self, space):
-        with pytest.raises(ValueError):
+        with pytest.raises(rb.PreconditionViolated, match="'!='"):
             exceedance_prob(space, cost(0, 0, 0, 0), cost(0, 0, 0, 0), "!=")
 
 
