@@ -35,6 +35,7 @@ they stay valid.
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 from typing import Any, Callable
@@ -273,9 +274,10 @@ def with_risk_config(
     current ``alpha`` unless a new one is given; switching away drops it.
     Arguments left as None keep their current value.  :class:`RiskMeasure`
     and :class:`RiskConfig` reject what they cannot hold, reported as a
-    :class:`ValidationError` naming the rule.  The copy shares ``instance``'s
-    tables, already validated, and its compiled tables, which no risk
-    configuration changes; only the configurations are checked again.
+    :class:`ValidationError` naming the rule.  The copy is built by
+    :func:`dataclasses.replace`, so the :class:`Instance` constructor
+    validates it like any other instance, and it compiles its own tables
+    when first evaluated.
     """
     current = instance.config(rule_id)
     new_measure = current.measure
@@ -287,4 +289,4 @@ def with_risk_config(
     new_threshold = current.threshold if threshold is None else threshold
     configs = dict(instance.risk_configs)
     configs[rule_id] = _built(f"rule {rule_id!r}", RiskConfig, new_measure, new_threshold)
-    return instance._reconfigured(configs)
+    return replace(instance, risk_configs=configs)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import AbstractSet, Iterable, Mapping, Sequence
 
 from .errors import DuplicateElement, UnknownElement, ValidationError, rebuild, require_unique
 
@@ -62,20 +62,21 @@ class Preorder:
 
     def __post_init__(self) -> None:
         require_unique(self.elements, "element", DuplicateElement)
-        declared = set(self.elements)
-        for a, b in self.relation:
-            if a not in declared or b not in declared:
-                raise UnknownElement(f"relation pair ({a!r}, {b!r}) references an undeclared element")
+        index = {e: i for i, e in enumerate(self.elements)}
+        undeclared = [(a, b) for a, b in self.relation if a not in index or b not in index]
+        if undeclared:
+            a, b = min(undeclared, key=repr)
+            raise UnknownElement(f"relation pair ({a!r}, {b!r}) references an undeclared element")
         for a in self.elements:
             if (a, a) not in self.relation:
                 raise ValidationError(f"relation is not reflexive: missing ({a!r}, {a!r})")
-        above: dict[str, set[str]] = {a: set() for a in self.elements}
+        reach: list[set[int]] = [set() for _ in self.elements]
         for a, b in self.relation:
-            above[a].add(b)
-        for a, reach in above.items():
-            for b in reach:
-                if not above[b] <= reach:
-                    raise ValidationError(f"relation is not transitive at ({a!r}, {b!r})")
+            reach[index[a]].add(index[b])
+        broken = first_intransitive(reach)
+        if broken:
+            a, b, c = (self.elements[i] for i in broken)
+            raise ValidationError(f"relation is not transitive at ({a!r}, {b!r}): missing ({a!r}, {c!r})")
 
     __reduce__ = rebuild
 
@@ -122,6 +123,20 @@ class Preorder:
         self._require(*subset)
         above = self.strictly_above
         return [a for a in subset if not any(a in above[b] for b in subset)]
+
+
+def first_intransitive(reach: Sequence[AbstractSet[int]]) -> tuple[int, int, int] | None:
+    """The first ``(a, b, c)`` in index order with ``b`` in ``reach[a]`` and
+    ``c`` in ``reach[b]`` but not in ``reach[a]``, or None when the relation
+    that ``reach`` lists per index is transitive.  One set difference per
+    related pair, so the scan costs set operations, not a test per triple."""
+    for a, above in enumerate(reach):
+        for b in range(len(reach)):
+            if b in above:
+                missing = reach[b] - above
+                if missing:
+                    return a, b, min(missing)
+    return None
 
 
 def build_preorder(elements: Sequence[str], priority_edges: Iterable[tuple[str, str]]) -> Preorder:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .jsonwriter import dumps
-from .preorder import Verdict
+from .preorder import Verdict, first_intransitive
 from .risk import CUSTOM, spot_check_monotonicity
 from .riskaware import Instance, TradeoffWitness, _Evaluation
 
@@ -214,24 +214,15 @@ def run_check(instance: Instance) -> CheckReport:
     ev = _Evaluation(instance)
     names = instance.trajectories
     n = range(len(names))
-    leq = [[ev.comparison(a, b)[2] for b in n] for a in n]
-    counterexamples = (
-        f"not transitive at ({names[a]}, {names[b]}, {names[c]}): {names[a]} is at most as risky as "
-        f"{names[b]} and {names[b]} as {names[c]}, but {names[a]} is not at most as risky as {names[c]}"
-        for a in n
-        for b in n
-        if leq[a][b]
-        for c in n
-        if leq[b][c] and not leq[a][c]
-    )
-    broken = next(counterexamples, None)
-    results = [
-        CheckResult(
-            "trajectory-preorder",
-            _CHECK_FAIL if broken else _CHECK_OK,
-            broken or "reflexive and transitive over all candidate pairs",
+    broken = first_intransitive([{b for b in n if ev.comparison(a, b)[2]} for a in n])
+    detail = "reflexive and transitive over all candidate pairs"
+    if broken:
+        a, b, c = (names[i] for i in broken)
+        detail = (
+            f"not transitive at ({a}, {b}, {c}): {a} is at most as risky as {b} and {b} as {c}, "
+            f"but {a} is not at most as risky as {c}"
         )
-    ]
+    results = [CheckResult("trajectory-preorder", _CHECK_FAIL if broken else _CHECK_OK, detail)]
 
     for rule_id in instance.rulebook.rule_ids:
         measure = instance.risk_configs[rule_id].measure

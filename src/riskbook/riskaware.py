@@ -38,7 +38,7 @@ from .errors import (
     require_unique,
 )
 from .preorder import Verdict
-from .probspace import FiniteProbSpace, RandomCost, _ascending, _atoms, _sum, _total, exceedance_prob
+from .probspace import FiniteProbSpace, RandomCost, _ascending, _atoms, _sum, _total
 from .risk import CUSTOM, EXPECTED, RiskMeasure, assess, assess_support, is_strictly_monotone_class
 from .rulebook import Realization, Rulebook, compare_profiles, compare_realizations
 from .tolerance import exceeding, le, lt
@@ -112,11 +112,12 @@ class Instance:
 
     The first evaluation compiles the instance into integer-indexed tables
     (:class:`_Compiled`): about T·S + R·T·E list slots for T trajectories,
-    S scenarios, R rules and E environment trajectories.  They do not depend
-    on the risk configurations, live as long as the instance, and are shared
-    with every copy :func:`~riskbook.instances.with_risk_config` makes.  They
-    are not a field, so equality, :func:`dataclasses.replace`, pickling and
-    deep copies never see them; a rebuilt instance compiles afresh.
+    S scenarios, R rules and E environment trajectories, kept as long as the
+    instance.  They are not a field, so equality, :func:`dataclasses.replace`,
+    pickling and deep copies never see them: every copy, including each one
+    :func:`~riskbook.instances.with_risk_config` makes, is built and
+    validated by this constructor and compiles its own tables when first
+    evaluated.
     """
 
     space: FiniteProbSpace
@@ -129,6 +130,7 @@ class Instance:
     def __post_init__(self) -> None:
         object.__setattr__(self, "trajectories", tuple(self.trajectories))
         object.__setattr__(self, "env_trajectories", tuple(self.env_trajectories))
+        object.__setattr__(self, "risk_configs", MappingProxyType(dict(self.risk_configs)))
         require_unique(self.trajectories, "system trajectory", ValidationError)
         require_unique(self.env_trajectories, "environment trajectory", ValidationError)
 
@@ -139,14 +141,6 @@ class Instance:
                 raise ValidationError(f"interaction maps {key!r} to undeclared environment trajectory {env!r}")
         for rule in self.rulebook.rules:
             _require_grid(rule.violations, self.trajectories, self.env_trajectories, f"rule {rule.id!r}")
-        self._set_risk_configs(self.risk_configs)
-
-    __reduce__ = rebuild
-
-    def _set_risk_configs(self, risk_configs: Mapping[str, RiskConfig]) -> None:
-        """Keep a read-only copy of ``risk_configs``, which must configure
-        exactly the rules."""
-        object.__setattr__(self, "risk_configs", MappingProxyType(dict(risk_configs)))
         for rule_id in self.rulebook.rule_ids:
             if rule_id not in self.risk_configs:
                 raise ValidationError(f"rule {rule_id!r} has no risk configuration")
@@ -154,18 +148,11 @@ class Instance:
             if rule_id not in self.rulebook.rule_ids:
                 raise ValidationError(f"risk configuration given for unknown rule {rule_id!r}")
 
+    __reduce__ = rebuild
+
     @cached_property
     def _compiled(self) -> _Compiled:
         return _Compiled(self)
-
-    def _reconfigured(self, risk_configs: Mapping[str, RiskConfig]) -> Instance:
-        """Copy with ``risk_configs`` replaced, sharing every other field and
-        the compiled tables.  Only the configurations are checked: the
-        tables are this instance's, validated when it was built."""
-        copy = object.__new__(Instance)
-        copy.__dict__.update(vars(self), _compiled=self._compiled)
-        copy._set_risk_configs(risk_configs)
-        return copy
 
     def require_trajectory(self, trajectory: str) -> int:
         return _declared(self.trajectories, trajectory, UnknownTrajectory, "system trajectory")
@@ -583,7 +570,8 @@ def pointwise_case(
     if w not in ev.optimal():
         raise PreconditionViolated(f"trajectory {optimal_trajectory!r} is not optimal")
 
-    advantage_probability = exceedance_prob(instance.space, ev.random_cost(r, c), ev.random_cost(r, w), "<")
+    advantage = exceeding(ev.cost(r, w), ev.cost(r, c), ev.compiled.positive)
+    advantage_probability = _total(ev.compiled.probs, advantage)
     if advantage_probability == 0.0:
         return PointwiseAnalysis(PointwiseCase.NULL_ADVANTAGE, rule_id, advantage_probability)
 

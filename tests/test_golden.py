@@ -8,7 +8,10 @@ all four measures, CVaR included, with strict, equal and incomparable rule
 priorities, and for ``signed_zero``, a fixed instance whose worst-case, VaR
 and CVaR rules see ``0.0`` and ``-0.0`` violations, near-ties within 1e-9
 and tied probabilities, so that the sign of each reported zero and the order
-of each summed probability show.  Any change of a report byte fails here.
+of each summed probability show, and for ``intransitive``, three trajectories
+whose expected violations 0, 6e-10 and 1.2e-9 are each within tolerance of
+the next, so that ``check`` fails (exit 1) and names the broken triple.  Any
+change of a report byte fails here.
 
 The package adds floats left to right on every interpreter, so one set of
 files holds for every supported Python.  After an intended change of
@@ -48,16 +51,19 @@ CASES = {
     "av_pedestrian_worst_case": (BUNDLED, ["--rule", "r1", "--measure", "worst_case", "--threshold", "175"]),
     **{f"instgen_{seed}": (INSTANCES / f"instgen_{seed}.json", []) for seed in INSTGEN_SEEDS},
     "signed_zero": (INSTANCES / "signed_zero.json", []),
+    "intransitive": (INSTANCES / "intransitive.json", []),
 }
+# Cases whose ``check`` fails, so that it exits 1.
+FAILED_CHECKS = ("intransitive",)
 COMMANDS = ("rank", "risk", "explain", "check")
 FORMATS = {"txt": [], "json": ["--json"]}
 
 
-def _cli(argv: list[str]) -> str:
+def _cli(argv: list[str], expected_code: int = 0) -> str:
     out = io.StringIO()
     with redirect_stdout(out):
         code = main(argv)
-    assert code == 0, f"riskbook {' '.join(argv)} exited {code}"
+    assert code == expected_code, f"riskbook {' '.join(argv)} exited {code}"
     return out.getvalue()
 
 
@@ -71,7 +77,7 @@ def render(case: str, command: str, fmt: str) -> str:
         overrides = ["--rule", rb.load_instance(path).rulebook.rule_ids[0]] + overrides
     tail = [str(path)] + overrides + FORMATS[fmt]
     if command != "explain":
-        return _cli([command] + tail)
+        return _cli([command] + tail, 1 if command == "check" and case in FAILED_CHECKS else 0)
     trajectories = rb.load_instance(path).trajectories
     return "".join(
         f"$ explain {a} {b}\n" + _cli(["explain"] + tail + [a, b])

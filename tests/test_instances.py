@@ -351,9 +351,8 @@ class TestOverrides:
             if risk["measure"] in ("var", "cvar"):
                 risk["alpha"] = rng.choice(ALPHAS)
             risk["threshold"] = rng.choice(THRESHOLDS)
-            rb.run_rank(instance)  # compiles the tables the copy shares
+            rb.run_rank(instance)  # compiles the original's tables first
             shared = with_risk_config(instance, rule_id, **risk)
-            assert shared._compiled is instance._compiled
             document = rb.instance_to_dict(instance)
             document["rules"][r]["risk"] = risk
             fresh = parse_instance(json.dumps(document))
@@ -366,15 +365,27 @@ class TestOverrides:
         with pytest.raises(rb.UnknownRule):
             with_risk_config(av, "r9", threshold=1.0)
 
-    def test_reconfigure_checks_no_table(self, av, monkeypatch):
+    def test_reconfigured_copy_checks_its_tables_like_a_new_instance(self, av, monkeypatch):
         grids = []
         require_grid = rb.riskaware._require_grid
         monkeypatch.setattr(rb.riskaware, "_require_grid", lambda *args: grids.append(require_grid(*args)))
+        with_risk_config(av, "r1", measure="cvar")
+        assert len(grids) == 1 + len(av.rulebook.rules)  # interaction and every violation table
+
+    def test_each_override_runs_the_constructor_once(self, av, monkeypatch):
+        validations = []
+        validate = rb.Instance.__post_init__
+        monkeypatch.setattr(rb.Instance, "__post_init__", lambda inst: validations.append(validate(inst)))
         inst = with_risk_config(with_risk_config(av, "r1", measure="cvar"), "r2", threshold=2.0)
-        assert grids == []
+        assert len(validations) == 2
         assert inst.risk_configs["r1"].measure.kind == "cvar" and inst.risk_configs["r2"].threshold == 2.0
-        assert dataclasses.replace(inst) == inst
-        assert len(grids) == 1 + len(av.rulebook.rules)  # a new instance checks every table
+
+    def test_override_compiles_its_own_tables_when_first_evaluated(self, av):
+        optimal = rb.run_rank(av).optimal  # compiles the original's tables
+        inst = with_risk_config(av, "r1", threshold=av.risk_configs["r1"].threshold)
+        assert "_compiled" not in vars(inst)
+        assert rb.run_rank(inst).optimal == optimal
+        assert inst._compiled is not av._compiled
 
     def test_reconfigured_copy_is_read_only_and_checks_its_configurations(self, av):
         inst = with_risk_config(av, "r1", threshold=175.0)
@@ -383,10 +394,10 @@ class TestOverrides:
         configs = dict(av.risk_configs)
         del configs["r2"]
         with pytest.raises(rb.ValidationError, match="rule 'r2' has no risk configuration"):
-            av._reconfigured(configs)
+            dataclasses.replace(av, risk_configs=configs)
         configs["r9"] = configs["r2"] = av.risk_configs["r2"]
         with pytest.raises(rb.ValidationError, match="risk configuration given for unknown rule 'r9'"):
-            av._reconfigured(configs)
+            dataclasses.replace(av, risk_configs=configs)
 
 
 class TestLoad:

@@ -1,5 +1,9 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -53,6 +57,14 @@ class TestCompare:
     def test_unknown_element(self, av_priority):
         with pytest.raises(rb.UnknownElement):
             av_priority.compare("r1", "r9")
+
+    def test_strictly_higher(self, av_priority):
+        assert av_priority.strictly_higher("r1", "r3")
+        assert not av_priority.strictly_higher("r3", "r1")
+        assert not av_priority.strictly_higher("r3", "r4")
+        assert not av_priority.strictly_higher("r2", "r2")
+        with pytest.raises(rb.UnknownElement, match="unknown element 'r9'"):
+            av_priority.strictly_higher("r9", "r1")
 
 
 class TestMinimalElements:
@@ -153,3 +165,39 @@ class TestInvariants:
     def test_relation_must_stay_within_the_elements(self):
         with pytest.raises(rb.UnknownElement, match=r"\('a', 'z'\) references an undeclared element"):
             rb.Preorder(("a", "b"), frozenset({("a", "a"), ("b", "b"), ("a", "z")}))
+
+
+# Two relations that break a law at more than one place: the first lacks
+# (a, c), which both (a, b), (b, c) and (a, d), (d, c) imply, and the second
+# names two undeclared elements.  Each message names one fixed break.
+_BROKEN_RELATIONS = """
+import riskbook as rb
+
+reflexive = {(x, x) for x in "abcd"}
+for relation in (
+    reflexive | {("a", "b"), ("b", "c"), ("a", "d"), ("d", "c")},
+    reflexive | {("q", "b"), ("a", "z")},
+):
+    try:
+        rb.Preorder(tuple("abcd"), frozenset(relation))
+    except rb.RiskbookError as exc:
+        print(exc)
+"""
+
+
+def test_construction_errors_do_not_depend_on_the_hash_seed():
+    src = str(Path(rb.__file__).resolve().parents[1])
+    outputs = {
+        subprocess.run(
+            [sys.executable, "-c", _BROKEN_RELATIONS],
+            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": str(seed)},
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        for seed in range(4)
+    }
+    assert outputs == {
+        "relation is not transitive at ('a', 'b'): missing ('a', 'c')\n"
+        "relation pair ('a', 'z') references an undeclared element\n"
+    }

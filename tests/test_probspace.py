@@ -43,6 +43,19 @@ class TestConstruction:
             RandomCost({"a": -1.0})
 
 
+class TestLookups:
+    def test_prob_of_a_declared_and_an_undeclared_scenario(self, space):
+        assert space.prob("w3") == 0.009
+        with pytest.raises(rb.UnknownScenario, match="unknown scenario 'w9'"):
+            space.prob("w9")
+
+    def test_value_of_a_declared_and_an_undeclared_scenario(self):
+        f = cost(0, 225, 0, 0)
+        assert f.value("w2") == 225.0
+        with pytest.raises(rb.UnknownScenario, match="undefined at scenario 'w9'"):
+            f.value("w9")
+
+
 class TestExpectation:
     def test_collision_cost_keep_speed(self, space):
         assert expectation(space, cost(0, 225, 0, 0)) == pytest.approx(0.225, abs=1e-9)

@@ -282,6 +282,18 @@ def test_var_alpha_zero_is_smallest_support_value(space):
     assert assess(RiskMeasure.var(0.0), space, cost(3, 225, 3, 3)) == 3.0
 
 
+def test_var_at_level_one_beyond_the_atoms_total_is_the_largest_cost():
+    # The probabilities add up to 0.999999999, within the tolerance of one,
+    # but the atoms' running total ends at 0.9999999989999999, more than the
+    # tolerance below alpha = 1, so no atom reaches the level.
+    space = FiniteProbSpace(
+        ("a", "b", "c"),
+        {"a": 0.25345884984707817, "b": 0.21546462104257685, "c": 0.531076528110345},
+    )
+    f = RandomCost({"a": 0.35327416255423216, "b": 0.9097550158894022, "c": 0.6592148136198245})
+    assert assess(RiskMeasure.var(1.0), space, f) == 0.9097550158894022
+
+
 def test_empty_support_guard():
     # Unreachable through a validated space (probabilities must sum to one),
     # so bypass validation to confirm the defensive guard still fires.

@@ -196,6 +196,11 @@ class TestCompareGivenScenario:
         with pytest.raises(rb.UnknownScenario):
             compare_given_scenario(av, "tau1", "tau2", "w9")
 
+    def test_interaction_response(self, av):
+        assert av.interaction.response("tau1", "w2") == "xi2"
+        with pytest.raises(rb.UnknownScenario, match="no interaction entry for trajectory 'tau1' under scenario 'w9'"):
+            av.interaction.response("tau1", "w9")
+
 
 class TestOptimalSet:
     def test_loose_quantile_regime(self, av):
@@ -458,12 +463,11 @@ class TestOperationCounts:
             reports.run_explain(instance, a, b)
         risk_of(instance, "r0", "t0")
         reconfigured = rb.with_risk_config(instance, "r0", measure="cvar", alpha=0.9, threshold=0.5)
-        assert reconfigured._compiled is instance._compiled
         counts.clear()
         reports.run_rank(reconfigured)
         assert max(n for key, n in counts.items() if isinstance(key, tuple)) == 1
         assert counts["assessments"] <= self.RULES * self.TRAJECTORIES
-        assert compiles == {id(instance): 1}
+        assert compiles == {id(instance): 1, id(reconfigured): 1}
 
     def test_rank_makes_no_priority_comparisons(self, instance, monkeypatch):
         calls = Counter()
