@@ -26,10 +26,21 @@ one owner, the constructor of the object it constrains: probabilities in
 reads as infinity, are rejected there), measure kind and ``alpha`` in
 :class:`RiskMeasure`, thresholds in :class:`RiskConfig`, unique rule ids
 and priority closure in :func:`build_preorder` and :class:`Rulebook`,
-unique trajectory ids and total tables in :class:`Instance`.  The parser
-re-raises a constructor's error as :class:`ValidationError` with the JSON
-path in front.  Built objects keep read-only copies of their tables, so
-they stay valid.
+unique trajectory ids, total tables and declared responses in
+:class:`Instance`.  The parser re-raises a constructor's error as
+:class:`ValidationError` with the JSON path in front.
+
+The ``interaction`` table and each rule's ``violations`` are read row by
+row, not cell by cell: one key-set comparison per JSON row against the
+declared ids, one :func:`operator.itemgetter` call reading the row in
+declaration order, and one C-level pass over its value types.  The rows
+become the :class:`~riskbook.rulebook._Grid` tables that the rule, the
+interaction model and the instance's compiled evaluation share, so no dict
+keyed by pairs is built and no cell is read again in Python.  A document
+that fails any check is read a second time with every table walked cell by
+cell, so an error names the first defect at its JSON path, exactly as a
+cell-by-cell parser would.  Built objects keep read-only tables, so they
+stay valid.
 """
 
 from __future__ import annotations
@@ -46,7 +57,7 @@ from .preorder import build_preorder
 from .probspace import FiniteProbSpace
 from .risk import CUSTOM, CVAR, VAR, RiskMeasure
 from .riskaware import Instance, InteractionModel, RiskConfig
-from .rulebook import Rule, Rulebook
+from .rulebook import Rule, Rulebook, _Grid, _reader
 
 _TOP_LEVEL_KEYS = (
     "scenarios",
@@ -56,6 +67,10 @@ _TOP_LEVEL_KEYS = (
     "rules",
     "priority",
 )
+# Cell types a row may hold, checked in one C-level pass per row.
+_STRING = frozenset({str})
+_FLOAT = frozenset({float})
+_NUMBER = frozenset({int, float})
 
 
 def _expect_object(value: Any, path: str) -> dict:
@@ -93,8 +108,80 @@ def _built(path: str, make: Callable[..., Any], *args: Any) -> Any:
         raise ValidationError(f"{path}: {exc}") from None
 
 
+def _rows(table: Any, row_ids: tuple[str, ...], column_ids: tuple[str, ...], path: str) -> list[tuple]:
+    """The rows of the JSON table at ``path`` in the order of ``row_ids``, each
+    read in the order of ``column_ids`` by one :func:`operator.itemgetter`
+    call, after one key-set comparison per row.  A table or row that is not an
+    object, or keys other than the declared ids, are a :class:`ValidationError`."""
+    columns, read = set(column_ids), _reader(column_ids)
+    if type(table) is dict and table.keys() == set(row_ids):
+        rows = [table[r] for r in row_ids]
+        if all(type(row) is dict and row.keys() == columns for row in rows):
+            return list(map(read, rows))
+    raise ValidationError(f"{path}: not an object of declared rows and columns")
+
+
+def _response_rows(table: Any, trajectories: tuple[str, ...], scenarios: tuple[str, ...]) -> _Grid:
+    """The interaction table as a grid of its rows; every cell is a string."""
+    rows = _rows(table, trajectories, scenarios, "interaction")
+    for row in rows:
+        if not _STRING.issuperset(map(type, row)):
+            raise ValidationError("interaction: expected strings")
+    return _Grid(trajectories, scenarios, tuple(rows))
+
+
+def _violation_rows(table: Any, trajectories: tuple[str, ...], envs: tuple[str, ...], path: str) -> _Grid:
+    """A rule's violation table as a grid of its rows; every cell is a float,
+    JSON integers converted.  Values are :class:`Rule`'s to check."""
+    rows = _rows(table, trajectories, envs, path)
+    for i, row in enumerate(rows):
+        kinds = set(map(type, row))
+        if not _FLOAT.issuperset(kinds):
+            if not _NUMBER.issuperset(kinds):
+                raise ValidationError(f"{path}: expected numbers")
+            try:
+                rows[i] = tuple(map(float, row))
+            except OverflowError:
+                raise ValidationError(f"{path}: number is too large for a float") from None
+    return _Grid(trajectories, envs, tuple(rows))
+
+
+def _interaction_cells(table: Any) -> dict[tuple[str, str], str]:
+    """The interaction table walked cell by cell, each type error at its JSON path."""
+    responses: dict[tuple[str, str], str] = {}
+    for traj, row in _expect_object(table, "interaction").items():
+        for scenario, env in _expect_object(row, f"interaction.{traj}").items():
+            if not isinstance(env, str):
+                _expect_str(env, f"interaction.{traj}.{scenario}")
+            responses[(traj, scenario)] = env
+    return responses
+
+
+def _violation_cells(table: Any, path: str) -> dict[tuple[str, str], float]:
+    """A rule's violation table walked cell by cell, each type error at its JSON path."""
+    violations: dict[tuple[str, str], float] = {}
+    for traj, row in _expect_object(table, path).items():
+        for env, value in _expect_object(row, f"{path}.{traj}").items():
+            if type(value) is not float:
+                value = _expect_number(value, f"{path}.{traj}.{env}")
+            violations[(traj, env)] = value
+    return violations
+
+
 def instance_from_dict(doc: Any) -> Instance:
-    """Build and validate an :class:`Instance` from a parsed JSON document."""
+    """Build and validate an :class:`Instance` from a parsed JSON document.
+
+    The tables are read row by row into the grids the instance keeps.  A
+    document that fails any check is read again with each table walked cell
+    by cell, so its error names the first defect, at its JSON path, in the
+    order the walk meets it."""
+    try:
+        return _instance(doc, by_rows=True)
+    except RiskbookError:
+        return _instance(doc, by_rows=False)
+
+
+def _instance(doc: Any, by_rows: bool) -> Instance:
     doc = _expect_object(doc, "document")
     for key in _TOP_LEVEL_KEYS:
         if key not in doc:
@@ -121,13 +208,10 @@ def instance_from_dict(doc: Any) -> Instance:
         for i, e in enumerate(_expect_list(doc["environment_trajectories"], "environment_trajectories"))
     )
 
-    # Table cells are many, so their JSON path is spelled out only on failure.
-    responses: dict[tuple[str, str], str] = {}
-    for traj, row in _expect_object(doc["interaction"], "interaction").items():
-        for scenario, env in _expect_object(row, f"interaction.{traj}").items():
-            if not isinstance(env, str):
-                _expect_str(env, f"interaction.{traj}.{scenario}")
-            responses[(traj, scenario)] = env
+    if by_rows:
+        responses = _response_rows(doc["interaction"], trajectories, space.scenarios)
+    else:
+        responses = _interaction_cells(doc["interaction"])
 
     rules: list[Rule] = []
     risk_configs: dict[str, RiskConfig] = {}
@@ -135,12 +219,10 @@ def instance_from_dict(doc: Any) -> Instance:
         path = f"rules[{i}]"
         entry = _expect_object(entry, path)
         rid = _expect_str(entry.get("id"), f"{path}.id")
-        table: dict[tuple[str, str], float] = {}
-        for traj, row in _expect_object(entry.get("violations"), f"{path}.violations").items():
-            for env, value in _expect_object(row, f"{path}.violations.{traj}").items():
-                if type(value) is not float:
-                    value = _expect_number(value, f"{path}.violations.{traj}.{env}")
-                table[(traj, env)] = value
+        if by_rows:
+            table = _violation_rows(entry.get("violations"), trajectories, env_trajectories, f"{path}.violations")
+        else:
+            table = _violation_cells(entry.get("violations"), f"{path}.violations")
         rules.append(_built(path, Rule, rid, table))
         risk_doc = _expect_object(entry.get("risk"), f"{path}.risk")
         for key in risk_doc:
@@ -194,8 +276,9 @@ def parse_instance(text: str) -> Instance:
 
 def instance_to_dict(instance: Instance) -> dict:
     """Instance as a JSON-ready dict; the priority list carries the full closure."""
+    trajectories, envs = instance.trajectories, instance.env_trajectories
     rules = []
-    for rule in instance.rulebook.rules:
+    for rule, rows in zip(instance.rulebook.rules, instance._violation_rows):
         config = instance.risk_configs[rule.id]
         if config.measure.kind == CUSTOM:
             raise ValidationError(f"rule {rule.id!r} uses a custom measure, which cannot be serialized")
@@ -206,10 +289,7 @@ def instance_to_dict(instance: Instance) -> dict:
         rules.append(
             {
                 "id": rule.id,
-                "violations": {
-                    traj: {env: rule.violations[(traj, env)] for env in instance.env_trajectories}
-                    for traj in instance.trajectories
-                },
+                "violations": {traj: dict(zip(envs, row)) for traj, row in zip(trajectories, rows)},
                 "risk": risk,
             }
         )
@@ -222,14 +302,11 @@ def instance_to_dict(instance: Instance) -> dict:
         "scenarios": [
             {"id": omega, "prob": instance.space.probs[omega]} for omega in instance.space.scenarios
         ],
-        "system_trajectories": list(instance.trajectories),
-        "environment_trajectories": list(instance.env_trajectories),
+        "system_trajectories": list(trajectories),
+        "environment_trajectories": list(envs),
         "interaction": {
-            traj: {
-                omega: instance.interaction.responses[(traj, omega)]
-                for omega in instance.space.scenarios
-            }
-            for traj in instance.trajectories
+            traj: dict(zip(instance.space.scenarios, map(envs.__getitem__, responses)))
+            for traj, responses in zip(trajectories, instance._responses)
         },
         "rules": rules,
         "priority": priority,

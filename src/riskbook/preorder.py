@@ -62,6 +62,9 @@ class Preorder:
 
     def __post_init__(self) -> None:
         require_unique(self.elements, "element", DuplicateElement)
+        malformed = [m for m in self.relation if not (isinstance(m, tuple) and len(m) == 2)]
+        if malformed:
+            raise ValidationError(f"relation member {min(malformed, key=repr)!r} is not a pair")
         index = {e: i for i, e in enumerate(self.elements)}
         undeclared = [(a, b) for a, b in self.relation if a not in index or b not in index]
         if undeclared:

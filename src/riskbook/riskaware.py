@@ -40,18 +40,21 @@ from .errors import (
 from .preorder import Verdict
 from .probspace import FiniteProbSpace, RandomCost, _ascending, _atoms, _sum, _total
 from .risk import CUSTOM, EXPECTED, RiskMeasure, assess, assess_support, is_strictly_monotone_class
-from .rulebook import Realization, Rulebook, compare_profiles, compare_realizations
+from .rulebook import Realization, Rulebook, _Grid, _reader, compare_profiles, compare_realizations
 from .tolerance import exceeding, le, lt
 
 
 @dataclass(frozen=True)
 class InteractionModel:
-    """Environment response for every (system trajectory, scenario) pair."""
+    """Environment response for every (system trajectory, scenario) pair, kept
+    read-only: a caller's mapping as a read-only copy, a parsed table as the
+    :class:`~riskbook.rulebook._Grid` of its rows."""
 
     responses: Mapping[tuple[str, str], str]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "responses", MappingProxyType(dict(self.responses)))
+        if not isinstance(self.responses, _Grid):
+            object.__setattr__(self, "responses", MappingProxyType(dict(self.responses)))
 
     __reduce__ = rebuild
 
@@ -76,19 +79,29 @@ class RiskConfig:
             raise ValidationError(f"threshold must be finite and nonnegative, got {self.threshold!r}")
 
 
-def _require_grid(table: Mapping, rows: tuple[str, ...], columns: tuple[str, ...], owner: str) -> None:
-    """Raise unless ``table`` has one entry per (row, column) pair and no other,
-    naming the first undeclared key in table order or else the first missing
-    pair in declaration order.  A key is declared when it is a member of
-    rows × columns: a pair whose row and column are declared (tested through
-    the two id sets, which is faster than hashing every key as a tuple)."""
+def _require_grid(table: Mapping, rows: tuple[str, ...], columns: tuple[str, ...], owner: str) -> tuple[tuple, ...]:
+    """``table``'s values as one tuple per row, rows and values in declaration
+    order.  A :class:`~riskbook.rulebook._Grid` over exactly ``rows`` ×
+    ``columns`` gives its own rows, checked by comparing id tuples.  Any other
+    mapping is read pair by pair and must have one entry per (row, column)
+    pair and no other; otherwise this raises, naming the first undeclared key
+    in table order or else the first missing pair in declaration order.  A
+    key is declared when it is a member of rows × columns: a pair whose row
+    and column are declared (tested through the two id sets, which is faster
+    than hashing every key as a tuple)."""
+    if isinstance(table, _Grid) and table.row_ids == rows and table.column_ids == columns:
+        return table.rows
+    if len(table) == len(rows) * len(columns):
+        try:  # every declared pair found among as many keys: no key is undeclared
+            return tuple(tuple([table[(r, c)] for c in columns]) for r in rows)
+        except KeyError:
+            pass
     row_ids, column_ids = set(rows), set(columns)
     for key in table:
         if not isinstance(key, tuple) or len(key) != 2 or key[0] not in row_ids or key[1] not in column_ids:
             raise ValidationError(f"{owner} has an entry for undeclared pair {key!r}")
-    if len(table) != len(rows) * len(columns):
-        key = next((r, c) for r in rows for c in columns if (r, c) not in table)
-        raise ValidationError(f"{owner} is missing an entry for {key!r}")
+    key = next((r, c) for r in rows for c in columns if (r, c) not in table)
+    raise ValidationError(f"{owner} is missing an entry for {key!r}")
 
 
 def _declared(ids: tuple[str, ...], x: str, error: type[UnknownElement], what: str) -> int:
@@ -107,16 +120,23 @@ class Instance:
     and one :class:`RiskConfig` per rule.  Each part checks its own
     invariants when built; the instance checks what ties them together:
     unique trajectory ids, interaction and violation tables total over the
-    declared ids, and a risk configuration for exactly the rules.  Tables
-    are stored as read-only copies, so an instance stays valid once built.
+    declared ids, responses naming declared environment trajectories, and a
+    risk configuration for exactly the rules.  Tables are read-only, so an
+    instance stays valid once built.
 
-    The first evaluation compiles the instance into integer-indexed tables
-    (:class:`_Compiled`): about T·S + R·T·E list slots for T trajectories,
-    S scenarios, R rules and E environment trajectories, kept as long as the
-    instance.  They are not a field, so equality, :func:`dataclasses.replace`,
-    pickling and deep copies never see them: every copy, including each one
+    The check leaves the tables as rows in declaration order, which the
+    evaluation reads by index: one response-index vector per trajectory and
+    one violation row per (rule, trajectory), about T·S + R·T·E slots for T
+    trajectories, S scenarios, R rules and E environment trajectories.  The
+    rows of a parsed table (a :class:`~riskbook.rulebook._Grid` over the
+    instance's own ids, checked by comparing id tuples) are kept by
+    reference; a caller's mapping is read pair by pair, once.  Each
+    trajectory's scenarios grouped by response are compiled on the first
+    evaluation (:class:`_Compiled`).  None of this is a field, so equality,
+    :func:`dataclasses.replace`, pickling and deep copies never see it:
+    every copy, including each one
     :func:`~riskbook.instances.with_risk_config` makes, is built and
-    validated by this constructor and compiles its own tables when first
+    validated by this constructor and compiles its own groups when first
     evaluated.
     """
 
@@ -134,13 +154,24 @@ class Instance:
         require_unique(self.trajectories, "system trajectory", ValidationError)
         require_unique(self.env_trajectories, "environment trajectory", ValidationError)
 
-        _require_grid(self.interaction.responses, self.trajectories, self.space.scenarios, "interaction")
-        envs = set(self.env_trajectories)
-        for key, env in self.interaction.responses.items():
-            if env not in envs:
-                raise ValidationError(f"interaction maps {key!r} to undeclared environment trajectory {env!r}")
-        for rule in self.rulebook.rules:
-            _require_grid(rule.violations, self.trajectories, self.env_trajectories, f"rule {rule.id!r}")
+        table = self.interaction.responses
+        cells = _require_grid(table, self.trajectories, self.space.scenarios, "interaction")
+        env_index = {env: e for e, env in enumerate(self.env_trajectories)}.__getitem__
+        try:
+            responses = tuple(tuple(map(env_index, row)) for row in cells)
+        except KeyError:
+            envs = set(self.env_trajectories)
+            key, env = next((key, env) for key, env in table.items() if env not in envs)
+            raise ValidationError(f"interaction maps {key!r} to undeclared environment trajectory {env!r}") from None
+        object.__setattr__(self, "_responses", responses)
+        object.__setattr__(
+            self,
+            "_violation_rows",
+            tuple(
+                _require_grid(rule.violations, self.trajectories, self.env_trajectories, f"rule {rule.id!r}")
+                for rule in self.rulebook.rules
+            ),
+        )
         for rule_id in self.rulebook.rule_ids:
             if rule_id not in self.risk_configs:
                 raise ValidationError(f"rule {rule_id!r} has no risk configuration")
@@ -176,34 +207,31 @@ class _Compiled:
     scenario only through the environment response it triggers, so each
     trajectory ``t`` has one response-index vector ``responses[t]`` and each
     rule ``r`` one violation row ``rows[r][t]`` over environment
-    trajectories.  ``groups[t]`` holds ``t``'s positive-probability scenarios
-    grouped by response as three columns, ``(responses, positions, totals)``,
-    one entry per group in response order: the response's index, the
-    group's positions, ascending in the order of ``ascending``, and their
-    total, added left to right, in the terms of
+    trajectories: both are the rows the :class:`Instance` constructor left,
+    taken by reference.  ``groups[t]`` holds ``t``'s positive-probability
+    scenarios grouped by response as three columns, ``(responses,
+    positions, totals)``, one entry per group in response order: the
+    response's index, the group's positions, ascending in the order of
+    ``ascending``, and their total, added left to right, in the terms of
     :func:`~riskbook.probspace._atoms`.  A rule's groups are then its row
     read at ``responses`` zipped with the other two columns, with no tuple
-    kept per group.
+    kept per group.  ``read_scenarios[t]`` and ``read_groups[t]`` read a
+    violation row at ``t``'s responses, scenario by scenario and group by
+    group, each in one :func:`operator.itemgetter` call.
     """
 
     def __init__(self, instance: Instance) -> None:
-        scenarios, envs = instance.space.scenarios, instance.env_trajectories
-        self.probs = [instance.space.probs[omega] for omega in scenarios]
+        envs = instance.env_trajectories
+        self.probs = [instance.space.probs[omega] for omega in instance.space.scenarios]
         self.positive = [k for k, p in enumerate(self.probs) if p > 0]
         self.ascending, self.ascending_probs = _ascending(self.probs)
-        env_index = {env: e for e, env in enumerate(envs)}
-        table = instance.interaction.responses
-        self.responses = [
-            [env_index[table[(trajectory, omega)]] for omega in scenarios]
-            for trajectory in instance.trajectories
-        ]
-        self.rows = [
-            [[rule.violations[(trajectory, env)] for env in envs] for trajectory in instance.trajectories]
-            for rule in instance.rulebook.rules
-        ]
+        self.responses = instance._responses
+        self.rows = instance._violation_rows
         self.groups = [self._group(responses, len(envs)) for responses in self.responses]
+        self.read_scenarios = [_reader(responses) for responses in self.responses]
+        self.read_groups = [_reader(group_envs) for group_envs, _, _ in self.groups]
 
-    def _group(self, responses: list[int], n_envs: int) -> tuple[list[int], list[list[int]], list[float]]:
+    def _group(self, responses: tuple[int, ...], n_envs: int) -> tuple[list[int], list[list[int]], list[float]]:
         """One bucket pass over the ascending positions, so each group's
         positions stay ascending."""
         buckets: list[list[int]] = [[] for _ in range(n_envs)]
@@ -233,17 +261,19 @@ class _Evaluation:
 
     The instance's compiled tables (:class:`_Compiled`, built on its first
     evaluation and kept with it) give each trajectory's response-index
-    vector, each rule's violation row and each trajectory's scenarios
-    grouped by response.  What depends on the risk configurations is
-    derived here: the cost of rule ``r`` under trajectory ``t`` is the list
-    ``row[e]`` over the scenarios' responses ``e``, where ``row`` is ``r``'s
-    violation row for ``t``.  Expected cost sums that list against the
-    probabilities scenario by scenario, in declaration order, and a
-    witness's probability sums its scenarios' probabilities in the same
-    order, both left to right through :mod:`riskbook.probspace`'s helpers,
-    so every interpreter gives the same bits.  Worst case, VaR and CVaR
-    read atoms built from ``t``'s response groups, so at most one group per
-    environment trajectory.  Custom measures receive a :class:`RandomCost`.
+    vector and each rule's violation row, both the rows the instance was
+    built with (for a parsed instance, the rows of its JSON tables), and
+    each trajectory's scenarios grouped by response.  What depends on the
+    risk configurations is derived here: the cost of rule ``r`` under
+    trajectory ``t`` is the tuple ``row[e]`` over the scenarios' responses
+    ``e``, where ``row`` is ``r``'s violation row for ``t``.  Expected cost
+    sums that list against the probabilities scenario by scenario, in
+    declaration order, and a witness's probability sums its scenarios'
+    probabilities in the same order, both left to right through
+    :mod:`riskbook.probspace`'s helpers, so every interpreter gives the same
+    bits.  Worst case, VaR and CVaR read atoms built from ``t``'s response
+    groups, so at most one group per environment trajectory.  Custom
+    measures receive a :class:`RandomCost`.
     A risk of any measure that is not finite, such as an expected cost that
     overflows, is a :class:`~riskbook.errors.ValidationError` naming the
     rule, the trajectory and the value, so no report prints ``Infinity``.
@@ -255,7 +285,7 @@ class _Evaluation:
     Figures are computed on first use: a question about two trajectories
     builds and assesses only their induced costs, while a matrix or an
     optimal set assesses every (rule, trajectory) pair once.  The instance's
-    tables are read-only copies validated at construction, so nothing here
+    tables are read-only and validated at construction, so nothing here
     re-checks them.  Costs, atoms, risks, comparisons and witnesses serve
     one top-level call and are not kept on the instance, so their memory is
     released with the call.
@@ -271,9 +301,9 @@ class _Evaluation:
         self._memo: dict = {}
 
     @_once
-    def cost(self, r: int, t: int) -> list[float]:
+    def cost(self, r: int, t: int) -> tuple[float, ...]:
         """Induced cost of rule ``r`` under ``t``, in scenario order."""
-        return list(map(self.compiled.rows[r][t].__getitem__, self.compiled.responses[t]))
+        return self.compiled.read_scenarios[t](self.compiled.rows[r][t])
 
     def random_cost(self, r: int, t: int) -> RandomCost:
         return RandomCost(dict(zip(self.scenarios, self.cost(r, t))))
@@ -298,8 +328,8 @@ class _Evaluation:
         """Distribution of rule ``r``'s induced cost under ``t``, equal to what
         :func:`~riskbook.probspace.distribution` gives, from at most one group
         of scenarios per environment trajectory."""
-        envs, positions, totals = self.compiled.groups[t]
-        values = map(self.compiled.rows[r][t].__getitem__, envs)
+        _, positions, totals = self.compiled.groups[t]
+        values = self.compiled.read_groups[t](self.compiled.rows[r][t])
         return _atoms(zip(values, positions, totals), self.compiled.ascending_probs)
 
     def excess(self, r: int, t: int) -> float:

@@ -13,11 +13,14 @@ the package's only comparison of two cost or excess profiles.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from functools import cached_property
-from math import inf
+from itertools import product
+from math import inf, isfinite
+from operator import itemgetter
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 from .errors import DuplicateElement, UnknownRealization, UnknownRule, ValidationError, rebuild, require_unique
 from .preorder import Preorder, Verdict
@@ -29,16 +32,91 @@ class Realization(NamedTuple):
     env_trajectory: str
 
 
+@dataclass(frozen=True, eq=False)
+class _Grid(Mapping):
+    """A read-only table keyed by (row id, column id) pairs, stored as one
+    tuple of values per row, rows and values in declaration order.
+
+    The parser builds one per JSON table, so a rule's violation rows and the
+    interaction's response rows are the tables the evaluation reads, and no
+    dict keyed by pairs is built on the way.  Lookups by pair index the rows;
+    iteration yields the pairs in declaration order.  Two grids over the same
+    ids compare by their rows, and a grid equals any mapping with the same
+    items.  Like a mapping, a grid is not hashable (``eq=False`` keeps the
+    ``__hash__ = None`` that defining ``__eq__`` implies).  A grid checks its
+    shape when built, also when unpickled or deep-copied, so its rows always
+    cover its ids; its owner checks the values.
+    """
+
+    row_ids: tuple[str, ...]
+    column_ids: tuple[str, ...]
+    rows: tuple[tuple[Any, ...], ...]
+
+    def __post_init__(self) -> None:
+        n = len(self.column_ids)
+        if len(self.rows) != len(self.row_ids) or any(len(row) != n for row in self.rows):
+            raise ValidationError("grid rows do not match its row and column ids")
+
+    __reduce__ = rebuild
+
+    @cached_property
+    def _positions(self) -> tuple[dict[str, int], dict[str, int]]:
+        return {r: i for i, r in enumerate(self.row_ids)}, {c: j for j, c in enumerate(self.column_ids)}
+
+    def __getitem__(self, key: tuple[str, str]) -> Any:
+        if isinstance(key, tuple) and len(key) == 2:
+            rows, columns = self._positions
+            i, j = rows.get(key[0]), columns.get(key[1])
+            if i is not None and j is not None:
+                return self.rows[i][j]
+        raise KeyError(key)
+
+    def __iter__(self) -> Iterator[tuple[str, str]]:
+        return product(self.row_ids, self.column_ids)
+
+    def __len__(self) -> int:
+        return len(self.row_ids) * len(self.column_ids)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, _Grid) and (self.row_ids, self.column_ids) == (other.row_ids, other.column_ids):
+            return self.rows == other.rows
+        return super().__eq__(other)
+
+
+def _reader(keys: Sequence) -> Callable[[Any], tuple]:
+    """A function giving ``row[k]`` for each of ``keys``, in order, as a tuple,
+    in one C-level :func:`operator.itemgetter` call; itemgetter returns a bare
+    value for one key and needs at least one, so fewer keys are read one by
+    one.  Much faster than mapping a tuple's ``__getitem__``, a slot wrapper."""
+    return itemgetter(*keys) if len(keys) > 1 else lambda row: tuple(map(row.__getitem__, keys))
+
+
+def _finite_nonnegative(row: tuple[float, ...]) -> bool:
+    """Whether every value of ``row`` is finite and nonnegative, at C level:
+    a NaN or an infinity makes the sum non-finite.  A sum that overflows on
+    finite values also reads False, which sends the caller to its walk."""
+    return isfinite(sum(row)) and min(row, default=0.0) >= 0.0
+
+
 @dataclass(frozen=True)
 class Rule:
     """A violation table over (system trajectory, environment trajectory) pairs,
-    kept as a read-only copy whose every violation is finite and nonnegative."""
+    kept read-only, whose every violation is finite and nonnegative.
+
+    A caller's mapping is kept as a read-only copy and checked value by
+    value.  A :class:`_Grid`, as the parser builds, is kept as it is and
+    checked row by row at C level; only a grid with a failing row is walked
+    value by value, for the message.
+    """
 
     id: str
     violations: Mapping[tuple[str, str], float]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "violations", MappingProxyType(dict(self.violations)))
+        if not isinstance(self.violations, _Grid):
+            object.__setattr__(self, "violations", MappingProxyType(dict(self.violations)))
+        elif all(map(_finite_nonnegative, self.violations.rows)):
+            return
         for key, v in self.violations.items():
             if not 0.0 <= v < inf:  # also rejects NaN
                 raise ValidationError(

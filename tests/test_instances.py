@@ -16,6 +16,8 @@ from riskbook import (
     with_risk_config,
 )
 
+from riskbook.rulebook import _Grid
+
 from instgen import ALL_KINDS, ALPHAS, THRESHOLDS, random_instance
 
 
@@ -136,6 +138,96 @@ class TestParse:
         rules = (rb.Rule("r1", violations),) + av.rulebook.rules[1:]
         with pytest.raises(rb.ValidationError, match="rule 'r1' has an entry for undeclared pair 5$"):
             dataclasses.replace(av, rulebook=rb.Rulebook(rules, av.rulebook.priority))
+
+
+def _with(path, value=None, raw=None):
+    """Bundled document text with ``doc[path[0]]...[path[-1]]`` set to
+    ``value``, or to the literal JSON text ``raw``, or deleted when both are
+    None."""
+    d = doc()
+    target = d
+    for key in path[:-1]:
+        target = target[key]
+    if value is None and raw is None:
+        del target[path[-1]]
+        return json.dumps(d)
+    target[path[-1]] = "@raw@" if raw is not None else value
+    return json.dumps(d).replace('"@raw@"', raw) if raw is not None else json.dumps(d)
+
+
+_ROW = ["interaction", "tau2"]
+_VIOLATIONS = ["rules", 1, "violations", "tau3"]
+_VIOLATION = "rules[1]: rule 'r2' has violation {} at ('tau3', 'xi2'); violations must be finite and nonnegative"
+
+# One defect at a table row per case, and its message byte for byte.  Rows
+# that fail the row-by-row read are walked cell by cell, so each message
+# names the first defect at its JSON path as the cell-by-cell parser did.
+ROW_DEFECTS = {
+    "interaction missing cell": (
+        _with(_ROW + ["w3"]),
+        "document: interaction is missing an entry for ('tau2', 'w3')",
+    ),
+    "interaction undeclared key": (
+        _with(_ROW + ["w9"], "xi1"),
+        "document: interaction has an entry for undeclared pair ('tau2', 'w9')",
+    ),
+    "interaction row not an object": (_with(_ROW, ["xi1"]), "interaction.tau2: expected an object, got list"),
+    "interaction missing row": (_with(_ROW), "document: interaction is missing an entry for ('tau2', 'w1')"),
+    "interaction undeclared row": (
+        _with(["interaction", "tau9"], {"w1": "xi1", "w2": "xi1", "w3": "xi1", "w4": "xi1"}),
+        "document: interaction has an entry for undeclared pair ('tau9', 'w1')",
+    ),
+    "interaction number cell": (_with(_ROW + ["w3"], 3), "interaction.tau2.w3: expected a string, got int"),
+    "interaction null cell": (_with(_ROW + ["w3"], raw="null"), "interaction.tau2.w3: expected a string, got NoneType"),
+    "interaction true cell": (_with(_ROW + ["w3"], True), "interaction.tau2.w3: expected a string, got bool"),
+    "interaction undeclared environment": (
+        _with(_ROW + ["w3"], "xi9"),
+        "document: interaction maps ('tau2', 'w3') to undeclared environment trajectory 'xi9'",
+    ),
+    "violations missing cell": (
+        _with(_VIOLATIONS + ["xi2"]),
+        "document: rule 'r2' is missing an entry for ('tau3', 'xi2')",
+    ),
+    "violations undeclared key": (
+        _with(_VIOLATIONS + ["xi9"], 0),
+        "document: rule 'r2' has an entry for undeclared pair ('tau3', 'xi9')",
+    ),
+    "violations row not an object": (_with(_VIOLATIONS, 5), "rules[1].violations.tau3: expected an object, got int"),
+    "violations missing row": (_with(_VIOLATIONS), "document: rule 'r2' is missing an entry for ('tau3', 'xi1')"),
+    "violations undeclared row": (
+        _with(["rules", 1, "violations", "tau9"], {"xi1": 0, "xi2": 0}),
+        "document: rule 'r2' has an entry for undeclared pair ('tau9', 'xi1')",
+    ),
+    "violations string cell": (
+        _with(_VIOLATIONS + ["xi2"], "0"),
+        "rules[1].violations.tau3.xi2: expected a number, got str",
+    ),
+    "violations null cell": (
+        _with(_VIOLATIONS + ["xi2"], raw="null"),
+        "rules[1].violations.tau3.xi2: expected a number, got NoneType",
+    ),
+    "violations true cell": (
+        _with(_VIOLATIONS + ["xi2"], True),
+        "rules[1].violations.tau3.xi2: expected a number, got bool",
+    ),
+    "violations int beyond float range": (
+        _with(_VIOLATIONS + ["xi2"], raw="1" + "0" * 400),
+        "rules[1].violations.tau3.xi2: number is too large for a float",
+    ),
+    "violations NaN": (_with(_VIOLATIONS + ["xi2"], raw="NaN"), _VIOLATION.format("nan")),
+    "violations Infinity": (_with(_VIOLATIONS + ["xi2"], raw="Infinity"), _VIOLATION.format("inf")),
+    "violations -Infinity": (_with(_VIOLATIONS + ["xi2"], raw="-Infinity"), _VIOLATION.format("-inf")),
+    "violations 1e400": (_with(_VIOLATIONS + ["xi2"], raw="1e400"), _VIOLATION.format("inf")),
+    "violations negative": (_with(_VIOLATIONS + ["xi2"], -5), _VIOLATION.format("-5.0")),
+}
+
+
+@pytest.mark.parametrize("case", list(ROW_DEFECTS))
+def test_row_defect_message(case):
+    text, message = ROW_DEFECTS[case]
+    with pytest.raises(rb.ValidationError) as excinfo:
+        parse_instance(text)
+    assert str(excinfo.value) == message
 
 
 def _edit(path, value):
@@ -308,9 +400,14 @@ class TestPickling:
     def test_unpickling_goes_through_validation(self, av):
         make, (rule_id, table) = av.rulebook.rules[0].__reduce__()
         assert make is rb.Rule
-        table[next(iter(table))] = -3.0
+        # A parsed table pickles as its rows, through the grid's constructor.
+        make_table, (row_ids, column_ids, rows) = table.__reduce__()
+        assert make_table is _Grid
+        rows = ((-3.0,) + rows[0][1:],) + rows[1:]
         with pytest.raises(rb.ValidationError, match="nonnegative"):
-            make(rule_id, table)
+            make(rule_id, make_table(row_ids, column_ids, rows))
+        with pytest.raises(rb.ValidationError, match="grid rows do not match"):
+            make_table(row_ids, column_ids, rows[1:])
 
 
 class TestOverrides:
@@ -366,11 +463,20 @@ class TestOverrides:
             with_risk_config(av, "r9", threshold=1.0)
 
     def test_reconfigured_copy_checks_its_tables_like_a_new_instance(self, av, monkeypatch):
-        grids = []
+        tables = []
         require_grid = rb.riskaware._require_grid
-        monkeypatch.setattr(rb.riskaware, "_require_grid", lambda *args: grids.append(require_grid(*args)))
+
+        def recording(table, *args):
+            tables.append(table)
+            return require_grid(table, *args)
+
+        monkeypatch.setattr(rb.riskaware, "_require_grid", recording)
         with_risk_config(av, "r1", measure="cvar")
-        assert len(grids) == 1 + len(av.rulebook.rules)  # interaction and every violation table
+        # The interaction and every violation table, each the parsed grid,
+        # so each check compares id tuples.
+        expected = [av.interaction.responses] + [rule.violations for rule in av.rulebook.rules]
+        assert len(tables) == len(expected) and all(a is b for a, b in zip(tables, expected))
+        assert all(isinstance(table, _Grid) for table in tables)
 
     def test_each_override_runs_the_constructor_once(self, av, monkeypatch):
         validations = []

@@ -166,6 +166,12 @@ class TestInvariants:
         with pytest.raises(rb.UnknownElement, match=r"\('a', 'z'\) references an undeclared element"):
             rb.Preorder(("a", "b"), frozenset({("a", "a"), ("b", "b"), ("a", "z")}))
 
+    @pytest.mark.parametrize("member", [("a", "b", "c"), 5, "aa", "ab"], ids=repr)
+    def test_relation_members_must_be_pairs(self, member):
+        with pytest.raises(rb.ValidationError) as excinfo:
+            rb.Preorder(("a",), frozenset({("a", "a"), member}))
+        assert str(excinfo.value) == f"relation member {member!r} is not a pair"
+
 
 # Two relations that break a law at more than one place: the first lacks
 # (a, c), which both (a, b), (b, c) and (a, d), (d, c) imply, and the second
