@@ -30,17 +30,17 @@ unique trajectory ids, total tables and declared responses in
 :class:`Instance`.  The parser re-raises a constructor's error as
 :class:`ValidationError` with the JSON path in front.
 
-The ``interaction`` table and each rule's ``violations`` are read row by
-row, not cell by cell: one key-set comparison per JSON row against the
-declared ids, one :func:`operator.itemgetter` call reading the row in
-declaration order, and one C-level pass over its value types.  The rows
-become the :class:`~riskbook.rulebook._Grid` tables that the rule, the
-interaction model and the instance's compiled evaluation share, so no dict
-keyed by pairs is built and no cell is read again in Python.  A document
-that fails any check is read a second time with every table walked cell by
-cell, so an error names the first defect at its JSON path, exactly as a
-cell-by-cell parser would.  Built objects keep read-only tables, so they
-stay valid.
+The document is read once, in document order.  The ``interaction`` table
+and each rule's ``violations`` are read row by row, not cell by cell: one
+key-set comparison per JSON row against the declared ids, one
+:func:`operator.itemgetter` call reading the row in declaration order, and
+one C-level pass over its value types.  The rows become the
+:class:`~riskbook.rulebook._Grid` tables that the rule, the interaction
+model and the instance's compiled evaluation share, so no dict keyed by
+pairs is built and no cell is read again in Python.  Only a table that
+fails this read is walked cell by cell, in document order, so a type error
+names its cell's JSON path and its constructor names a missing or
+undeclared pair.  Built objects keep read-only tables, so they stay valid.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ import json
 from dataclasses import replace
 from importlib import resources
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Mapping
 
 from .errors import DuplicateElement, ParseError, RiskbookError, ValidationError
 from .jsonwriter import dumps
@@ -67,10 +67,6 @@ _TOP_LEVEL_KEYS = (
     "rules",
     "priority",
 )
-# Cell types a row may hold, checked in one C-level pass per row.
-_STRING = frozenset({str})
-_FLOAT = frozenset({float})
-_NUMBER = frozenset({int, float})
 
 
 def _expect_object(value: Any, path: str) -> dict:
@@ -100,6 +96,11 @@ def _expect_number(value: Any, path: str) -> float:
         raise ValidationError(f"{path}: number is too large for a float") from None
 
 
+# The types a table cell checked by each ``_expect_*`` may hold, tested in
+# one C-level pass per row.
+_CELL_TYPES = {_expect_str: frozenset({str}), _expect_number: frozenset({int, float})}
+
+
 def _built(path: str, make: Callable[..., Any], *args: Any) -> Any:
     """``make(*args)``, with any invariant it rejects reported at ``path``."""
     try:
@@ -108,80 +109,42 @@ def _built(path: str, make: Callable[..., Any], *args: Any) -> Any:
         raise ValidationError(f"{path}: {exc}") from None
 
 
-def _rows(table: Any, row_ids: tuple[str, ...], column_ids: tuple[str, ...], path: str) -> list[tuple]:
-    """The rows of the JSON table at ``path`` in the order of ``row_ids``, each
-    read in the order of ``column_ids`` by one :func:`operator.itemgetter`
-    call, after one key-set comparison per row.  A table or row that is not an
-    object, or keys other than the declared ids, are a :class:`ValidationError`."""
-    columns, read = set(column_ids), _reader(column_ids)
+def _table(table: Any, row_ids: tuple[str, ...], column_ids: tuple[str, ...], path: str, expect: Callable) -> Mapping:
+    """The JSON table at ``path`` with every cell checked by ``expect``.
+
+    A table whose rows and columns are the declared ids and whose cells all
+    have ``expect``'s types becomes the :class:`_Grid` of its rows: one
+    key-set comparison and one :func:`operator.itemgetter` call per row, one
+    C-level pass over each row's types, JSON integers converted to floats.
+    Any other table is walked in document order, so a type error names its
+    cell's JSON path, into a dict keyed by pairs whose constructor names a
+    missing or undeclared pair."""
+    columns = set(column_ids)
     if type(table) is dict and table.keys() == set(row_ids):
         rows = [table[r] for r in row_ids]
         if all(type(row) is dict and row.keys() == columns for row in rows):
-            return list(map(read, rows))
-    raise ValidationError(f"{path}: not an object of declared rows and columns")
-
-
-def _response_rows(table: Any, trajectories: tuple[str, ...], scenarios: tuple[str, ...]) -> _Grid:
-    """The interaction table as a grid of its rows; every cell is a string."""
-    rows = _rows(table, trajectories, scenarios, "interaction")
-    for row in rows:
-        if not _STRING.issuperset(map(type, row)):
-            raise ValidationError("interaction: expected strings")
-    return _Grid(trajectories, scenarios, tuple(rows))
-
-
-def _violation_rows(table: Any, trajectories: tuple[str, ...], envs: tuple[str, ...], path: str) -> _Grid:
-    """A rule's violation table as a grid of its rows; every cell is a float,
-    JSON integers converted.  Values are :class:`Rule`'s to check."""
-    rows = _rows(table, trajectories, envs, path)
-    for i, row in enumerate(rows):
-        kinds = set(map(type, row))
-        if not _FLOAT.issuperset(kinds):
-            if not _NUMBER.issuperset(kinds):
-                raise ValidationError(f"{path}: expected numbers")
-            try:
-                rows[i] = tuple(map(float, row))
-            except OverflowError:
-                raise ValidationError(f"{path}: number is too large for a float") from None
-    return _Grid(trajectories, envs, tuple(rows))
-
-
-def _interaction_cells(table: Any) -> dict[tuple[str, str], str]:
-    """The interaction table walked cell by cell, each type error at its JSON path."""
-    responses: dict[tuple[str, str], str] = {}
-    for traj, row in _expect_object(table, "interaction").items():
-        for scenario, env in _expect_object(row, f"interaction.{traj}").items():
-            if not isinstance(env, str):
-                _expect_str(env, f"interaction.{traj}.{scenario}")
-            responses[(traj, scenario)] = env
-    return responses
-
-
-def _violation_cells(table: Any, path: str) -> dict[tuple[str, str], float]:
-    """A rule's violation table walked cell by cell, each type error at its JSON path."""
-    violations: dict[tuple[str, str], float] = {}
-    for traj, row in _expect_object(table, path).items():
-        for env, value in _expect_object(row, f"{path}.{traj}").items():
-            if type(value) is not float:
-                value = _expect_number(value, f"{path}.{traj}.{env}")
-            violations[(traj, env)] = value
-    return violations
+            rows = list(map(_reader(column_ids), rows))
+            kinds = [set(map(type, row)) for row in rows]
+            if all(map(_CELL_TYPES[expect].issuperset, kinds)):
+                try:
+                    rows = [tuple(map(float, row)) if int in k else row for row, k in zip(rows, kinds)]
+                    return _Grid(row_ids, column_ids, tuple(rows))
+                except OverflowError:  # an integer beyond the float range: the walk names its cell
+                    pass
+    return {
+        (r, c): expect(value, f"{path}.{r}.{c}")
+        for r, row in _expect_object(table, path).items()
+        for c, value in _expect_object(row, f"{path}.{r}").items()
+    }
 
 
 def instance_from_dict(doc: Any) -> Instance:
     """Build and validate an :class:`Instance` from a parsed JSON document.
 
-    The tables are read row by row into the grids the instance keeps.  A
-    document that fails any check is read again with each table walked cell
-    by cell, so its error names the first defect, at its JSON path, in the
-    order the walk meets it."""
-    try:
-        return _instance(doc, by_rows=True)
-    except RiskbookError:
-        return _instance(doc, by_rows=False)
-
-
-def _instance(doc: Any, by_rows: bool) -> Instance:
+    The document is read once, in document order, and the first defect met
+    raises.  A table read as a grid has its values checked by their owner
+    in declaration order: :class:`Rule` names the first bad violation and
+    :class:`Instance` the first undeclared response."""
     doc = _expect_object(doc, "document")
     for key in _TOP_LEVEL_KEYS:
         if key not in doc:
@@ -208,10 +171,7 @@ def _instance(doc: Any, by_rows: bool) -> Instance:
         for i, e in enumerate(_expect_list(doc["environment_trajectories"], "environment_trajectories"))
     )
 
-    if by_rows:
-        responses = _response_rows(doc["interaction"], trajectories, space.scenarios)
-    else:
-        responses = _interaction_cells(doc["interaction"])
+    responses = _table(doc["interaction"], trajectories, space.scenarios, "interaction", _expect_str)
 
     rules: list[Rule] = []
     risk_configs: dict[str, RiskConfig] = {}
@@ -219,10 +179,7 @@ def _instance(doc: Any, by_rows: bool) -> Instance:
         path = f"rules[{i}]"
         entry = _expect_object(entry, path)
         rid = _expect_str(entry.get("id"), f"{path}.id")
-        if by_rows:
-            table = _violation_rows(entry.get("violations"), trajectories, env_trajectories, f"{path}.violations")
-        else:
-            table = _violation_cells(entry.get("violations"), f"{path}.violations")
+        table = _table(entry.get("violations"), trajectories, env_trajectories, f"{path}.violations", _expect_number)
         rules.append(_built(path, Rule, rid, table))
         risk_doc = _expect_object(entry.get("risk"), f"{path}.risk")
         for key in risk_doc:

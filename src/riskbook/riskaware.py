@@ -159,9 +159,9 @@ class Instance:
         env_index = {env: e for e, env in enumerate(self.env_trajectories)}.__getitem__
         try:
             responses = tuple(tuple(map(env_index, row)) for row in cells)
-        except KeyError:
+        except (KeyError, TypeError):  # an undeclared or unhashable response
             envs = set(self.env_trajectories)
-            key, env = next((key, env) for key, env in table.items() if env not in envs)
+            key, env = next((key, env) for key, env in table.items() if not isinstance(env, str) or env not in envs)
             raise ValidationError(f"interaction maps {key!r} to undeclared environment trajectory {env!r}") from None
         object.__setattr__(self, "_responses", responses)
         object.__setattr__(

@@ -101,7 +101,8 @@ def _finite_nonnegative(row: tuple[float, ...]) -> bool:
 @dataclass(frozen=True)
 class Rule:
     """A violation table over (system trajectory, environment trajectory) pairs,
-    kept read-only, whose every violation is finite and nonnegative.
+    kept read-only, whose every violation is a finite, nonnegative int or
+    float (not a bool).
 
     A caller's mapping is kept as a read-only copy and checked value by
     value.  A :class:`_Grid`, as the parser builds, is kept as it is and
@@ -118,7 +119,7 @@ class Rule:
         elif all(map(_finite_nonnegative, self.violations.rows)):
             return
         for key, v in self.violations.items():
-            if not 0.0 <= v < inf:  # also rejects NaN
+            if isinstance(v, bool) or not isinstance(v, (int, float)) or not 0.0 <= v < inf:  # also rejects NaN
                 raise ValidationError(
                     f"rule {self.id!r} has violation {v!r} at {key!r}; violations must be finite and nonnegative"
                 )

@@ -132,6 +132,14 @@ class TestParse:
         with pytest.raises(rb.ValidationError, match="more than once"):
             instance_from_dict(bad)
 
+    @pytest.mark.parametrize("response", [["xi1"], 1, None])
+    def test_response_that_is_not_a_string_is_undeclared(self, av, response):
+        responses = dict(av.interaction.responses)
+        responses[("tau2", "w3")] = response
+        with pytest.raises(rb.ValidationError) as excinfo:
+            dataclasses.replace(av, interaction=rb.InteractionModel(responses))
+        assert str(excinfo.value) == f"interaction maps ('tau2', 'w3') to undeclared environment trajectory {response!r}"
+
     def test_key_that_is_not_a_pair_is_undeclared(self, av):
         violations = dict(av.rulebook.rules[0].violations)
         violations[5] = 1.0
@@ -159,9 +167,10 @@ _ROW = ["interaction", "tau2"]
 _VIOLATIONS = ["rules", 1, "violations", "tau3"]
 _VIOLATION = "rules[1]: rule 'r2' has violation {} at ('tau3', 'xi2'); violations must be finite and nonnegative"
 
-# One defect at a table row per case, and its message byte for byte.  Rows
-# that fail the row-by-row read are walked cell by cell, so each message
-# names the first defect at its JSON path as the cell-by-cell parser did.
+# One defect at a table row per case, and its message byte for byte.  A
+# table that fails the row-by-row read is walked in document order, so a
+# type error names its cell's JSON path and a shape defect goes to the
+# constructor, which names the missing or undeclared pair.
 ROW_DEFECTS = {
     "interaction missing cell": (
         _with(_ROW + ["w3"]),
@@ -265,6 +274,103 @@ def test_invariant_break_names_the_identifier(case):
     edit(bad)
     with pytest.raises(rb.ValidationError, match=name):
         instance_from_dict(bad)
+
+
+def _delete(path):
+    """An edit that deletes ``doc[path[0]]...[path[-1]]``."""
+
+    def apply(d):
+        for key in path[:-1]:
+            d = d[key]
+        del d[path[-1]]
+
+    return apply
+
+
+def _reverse_rows(path):
+    """An edit that reverses the document order of the table rows at ``path``."""
+
+    def apply(d):
+        for key in path[:-1]:
+            d = d[key]
+        d[path[-1]] = dict(reversed(d[path[-1]].items()))
+
+    return apply
+
+
+_R2 = ["rules", 1, "violations"]
+
+# Several defects per case, and the message naming the one the parse meets
+# first: tables and risk blocks in document order, the constructor's checks
+# when the object is built.  Values in a table read as a grid (right shape,
+# right types) are checked in declaration order, whatever the rows' order in
+# the document; type errors in a walked table are met in document order.
+MULTI_DEFECTS = {
+    "undeclared response, negative violation, negative threshold": (
+        [
+            _edit(["interaction", "tau2", "w3"], "xi9"),
+            _edit(_R2 + ["tau3", "xi2"], -5),
+            _edit(["rules", 0, "risk", "threshold"], -1),
+        ],
+        "rules[0].risk: threshold must be finite and nonnegative, got -1.0",
+    ),
+    "missing interaction cell, bad alpha": (
+        [_delete(["interaction", "tau2", "w3"]), _edit(["rules", 0, "risk", "alpha"], 1.5)],
+        "rules[0].risk: alpha must lie in [0, 1], got 1.5",
+    ),
+    "negative r1 cell, string r2 cell": (
+        [_edit(["rules", 0, "violations", "tau1", "xi2"], -1), _edit(_R2 + ["tau3", "xi2"], "0")],
+        "rules[0]: rule 'r1' has violation -1.0 at ('tau1', 'xi2'); violations must be finite and nonnegative",
+    ),
+    "r2 rows reversed, two negative violations": (
+        [_reverse_rows(_R2), _edit(_R2 + ["tau1", "xi1"], -1), _edit(_R2 + ["tau3", "xi2"], -2)],
+        "rules[1]: rule 'r2' has violation -1.0 at ('tau1', 'xi1'); violations must be finite and nonnegative",
+    ),
+    "interaction rows reversed, two undeclared responses": (
+        [
+            _reverse_rows(["interaction"]),
+            _edit(["interaction", "tau1", "w1"], "xi8"),
+            _edit(["interaction", "tau3", "w2"], "xi9"),
+        ],
+        "document: interaction maps ('tau1', 'w1') to undeclared environment trajectory 'xi8'",
+    ),
+    "r2 rows reversed, two string cells": (
+        [_reverse_rows(_R2), _edit(_R2 + ["tau1", "xi1"], "a"), _edit(_R2 + ["tau3", "xi2"], "b")],
+        "rules[1].violations.tau3.xi2: expected a number, got str",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(MULTI_DEFECTS))
+def test_first_of_several_defects_is_named(case):
+    edits, message = MULTI_DEFECTS[case]
+    bad = doc()
+    for edit in edits:
+        edit(bad)
+    with pytest.raises(rb.ValidationError) as excinfo:
+        parse_instance(json.dumps(bad))
+    assert str(excinfo.value) == message
+
+
+READ_ONCE = {
+    **{f"row defect: {case}": text for case, (text, _) in ROW_DEFECTS.items()},
+    "alpha out of range": _with(["rules", 0, "risk", "alpha"], 1.5),
+    "negative threshold": _with(["rules", 0, "risk", "threshold"], -1),
+}
+
+
+@pytest.mark.parametrize("case", list(READ_ONCE))
+def test_invalid_document_is_read_once(case, monkeypatch):
+    spaces = []
+
+    def counted(*args):
+        spaces.append(args)
+        return rb.FiniteProbSpace(*args)
+
+    monkeypatch.setattr("riskbook.instances.FiniteProbSpace", counted)
+    with pytest.raises(rb.ValidationError):
+        parse_instance(READ_ONCE[case])
+    assert len(spaces) == 1
 
 
 class TestRoundTrip:

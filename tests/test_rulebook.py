@@ -35,6 +35,13 @@ class TestViolationLookup:
         with pytest.raises(rb.ValidationError):
             rb.Rule("r", {("t", "e"): -1.0})
 
+    @pytest.mark.parametrize("value", ["a", "1", None, True, False, [1.0]])
+    def test_value_that_is_not_an_int_or_float_rejected(self, value):
+        message = f"rule 'r' has violation {value!r} at ('t', 'e'); violations must be finite and nonnegative"
+        with pytest.raises(rb.ValidationError) as excinfo:
+            rb.Rule("r", {("t", "d"): 1, ("t", "e"): value})
+        assert str(excinfo.value) == message
+
 
 class TestRulebookConstruction:
     def test_duplicate_rule_ids(self, av):
