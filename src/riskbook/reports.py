@@ -170,10 +170,14 @@ def run_explain(instance: Instance, first: str, second: str) -> Explanation:
     higher-priority rules compensating it, and, when either side is optimal,
     the positive-probability witnesses behind each improvement the other
     side shows against it.
+
+    Only the two sides' optimality is decided, each by comparing it with
+    the other trajectories until one is strictly less risky, so an explain
+    makes at most 2T - 1 profile comparisons for T trajectories and builds
+    and assesses only the induced costs those comparisons read.
     """
     a, b = instance.require_trajectory(first), instance.require_trajectory(second)
     ev = _Evaluation(instance)
-    optimal = ev.optimal()
     return Explanation(
         first=first,
         second=second,
@@ -182,7 +186,7 @@ def run_explain(instance: Instance, first: str, second: str) -> Explanation:
         first_worse=_disadvantages(ev, a, b),
         second_worse=_disadvantages(ev, b, a),
         tradeoffs=tuple(
-            e for w, c in ((a, b), (b, a)) if w in optimal for e in _tradeoffs(ev, w, c)
+            e for w, c in ((a, b), (b, a)) if ev.is_optimal(w) for e in _tradeoffs(ev, w, c)
         ),
     )
 
@@ -287,7 +291,7 @@ def render_rank(report: RankingReport, as_json: bool = False) -> str:
     lines.append(_table(["vs"] + trajectories, matrix_rows))
     lines.append("")
     lines.append(f"safe: {', '.join(report.safe) if report.safe else '(none)'}")
-    lines.append(f"optimal: {', '.join(report.optimal)}")
+    lines.append(f"optimal: {', '.join(report.optimal) if report.optimal else '(none)'}")
     if report.explanations:
         lines.append("")
         lines.append("tradeoffs behind each optimal trajectory:")

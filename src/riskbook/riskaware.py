@@ -283,8 +283,11 @@ class _Evaluation:
     comparison of two trajectories' excess profiles, :meth:`comparison`.
 
     Figures are computed on first use: a question about two trajectories
-    builds and assesses only their induced costs, while a matrix or an
-    optimal set assesses every (rule, trajectory) pair once.  The instance's
+    builds and assesses only their induced costs, and a matrix assesses
+    every (rule, trajectory) pair once.  Deciding whether one trajectory is
+    optimal compares it with the others in declaration order and stops at
+    the first that is strictly less risky, so it assesses other trajectories
+    only until it is decided.  The instance's
     tables are read-only and validated at construction, so nothing here
     re-checks them.  Costs, atoms, risks, comparisons and witnesses serve
     one top-level call and are not kept on the instance, so their memory is
@@ -365,9 +368,13 @@ class _Evaluation:
         return {(self.trajectories[a], self.trajectories[b]): self.verdict(a, b) for a in n for b in n}
 
     @_once
+    def is_optimal(self, t: int) -> bool:
+        """Whether no trajectory is strictly less risky than ``t``; the scan
+        runs in declaration order and stops at the first one that is."""
+        return not any(self.verdict(o, t) is Verdict.LOWER for o in range(len(self.trajectories)))
+
     def optimal(self) -> list[int]:
-        n = range(len(self.trajectories))
-        return [t for t in n if not any(self.verdict(o, t) is Verdict.LOWER for o in n)]
+        return [t for t in range(len(self.trajectories)) if self.is_optimal(t)]
 
     @_once
     def _compensating(self, w: int, c: int) -> list[tuple[int, tuple[str, ...], float]]:
@@ -597,7 +604,7 @@ def pointwise_case(
             f"trajectory {challenger!r} is not strictly better than {optimal_trajectory!r} "
             f"under rule {rule_id!r} at scenario {scenario!r}"
         )
-    if w not in ev.optimal():
+    if not ev.is_optimal(w):
         raise PreconditionViolated(f"trajectory {optimal_trajectory!r} is not optimal")
 
     advantage = exceeding(ev.cost(r, w), ev.cost(r, c), ev.compiled.positive)

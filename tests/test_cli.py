@@ -200,6 +200,35 @@ class TestExitCodes:
         assert out == "" and err.count("\n") == 1 and "Traceback" not in err
         assert "'r2'" in err and "'tau1'" in err and "inf" in err and "finite" in err
 
+    @pytest.mark.parametrize(
+        "args, code",
+        [
+            (["rank"], 1),
+            (["check"], 1),
+            (["explain", "tau1", "tau2"], 1),
+            (["explain", "tau2", "tau4"], 1),
+            (["explain", "tau2", "tau3"], 0),
+        ],
+    )
+    def test_report_fails_on_a_non_finite_risk_it_reads(self, tmp_path, capsys, args, code):
+        # Only tau4's r2 risk overflows.  Ranking and checking read every risk;
+        # an explain reads its two trajectories' risks and those of the others
+        # until each side's optimality is decided (tau1 is optimal, so it is
+        # compared with every trajectory, tau4 included).
+        doc = json.loads(rb.bundled_instance_text())
+        doc["scenarios"][0]["prob"] += 5e-10
+        assert doc["rules"][1]["id"] == "r2" and doc["rules"][1]["risk"]["measure"] == "expected"
+        doc["rules"][1]["violations"]["tau4"] = {"xi1": sys.float_info.max, "xi2": sys.float_info.max}
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main([args[0], str(path), "--json"] + args[1:]) == code
+        out, err = capsys.readouterr()
+        assert "Infinity" not in out
+        if code:
+            assert out == "" and err.count("\n") == 1 and "'r2'" in err and "'tau4'" in err
+        else:
+            assert err == "" and json.loads(out)["verdict"] == "lower"
+
     def test_infinite_threshold_in_the_file_is_a_validation_error(self, tmp_path, capsys):
         text = rb.bundled_instance_text()
         path = tmp_path / "inf-threshold.json"

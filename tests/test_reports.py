@@ -76,6 +76,16 @@ class TestRank:
         assert payload["optimal"] == ["tau1"]
         assert payload["matrix"]["tau2"]["tau1"] == "higher"
 
+    def test_text_names_an_empty_optimal_set(self):
+        doc = json.loads(rb.bundled_instance_text())
+        doc["system_trajectories"], doc["interaction"] = [], {}
+        for rule in doc["rules"]:
+            rule["violations"] = {}
+        report = run_rank(rb.parse_instance(json.dumps(doc)))
+        assert report.optimal == () and report.safe == ()
+        assert render_rank(report).endswith("\nsafe: (none)\noptimal: (none)\n")
+        assert json.loads(render_rank(report, as_json=True))["optimal"] == []
+
 
 class TestExplain:
     def test_worst_case_narrative(self, av_worst_case):

@@ -423,6 +423,17 @@ class TestOperationCounts:
         reports.run_check(instance)
         assert counts["builds"] <= self.RULES * self.TRAJECTORIES
         assert counts["assessments"] <= self.RULES * self.TRAJECTORIES
+        # Deciding that a trajectory is not optimal stops at the first one
+        # strictly less risky, so some explain of two such trajectories leaves
+        # other trajectories unassessed.
+        optimal = optimal_set(instance)
+        assessed = []
+        for a, b in itertools.permutations(instance.trajectories, 2):
+            if a not in optimal and b not in optimal:
+                counts.clear()
+                reports.run_explain(instance, a, b)
+                assessed.append(counts["assessments"])
+        assert min(assessed) < self.RULES * self.TRAJECTORIES
 
     def test_standalone_witness_builds_at_most_two_costs_per_rule(self, instance, counts):
         explanations = reports.run_rank(instance).explanations
@@ -444,9 +455,29 @@ class TestOperationCounts:
         pairs = self.TRAJECTORIES * (self.TRAJECTORIES + 1) // 2
         reports.run_rank(instance)
         assert sum(compared.values()) == pairs and max(compared.values()) == 1
-        compared.clear()
-        assert reports.run_explain(instance, "t4", "t0").tradeoffs
-        assert sum(compared.values()) <= pairs and max(compared.values()) == 1
+        # An explain decides the optimality of its two trajectories only: each
+        # side is compared with at most every trajectory, and the two share
+        # their own comparison.
+        for a, b in itertools.permutations(instance.trajectories, 2):
+            compared.clear()
+            reports.run_explain(instance, a, b)
+            assert sum(compared.values()) <= 2 * self.TRAJECTORIES - 1
+            assert max(compared.values()) == 1
+
+    def test_pointwise_case_compares_only_the_optimal_trajectory(self, instance, monkeypatch):
+        compared = []
+        compare = riskaware.compare_profiles
+
+        def counting_compare(priority, rule_ids, costs_a, costs_b):
+            compared.append((costs_a, costs_b))
+            return compare(priority, rule_ids, costs_a, costs_b)
+
+        monkeypatch.setattr(riskaware, "compare_profiles", counting_compare)
+        analysis = pointwise_case(instance, "t4", "t0", "r0", "w1")
+        assert analysis.case is PointwiseCase.COMPENSATED_ELSEWHERE
+        assert len(compared) <= self.TRAJECTORIES
+        profile = rb.risk_aware_profile(instance, "t4")
+        assert all(profile in pair for pair in compared)
 
     def test_instance_compiles_once_for_every_call_and_override(self, instance, counts, monkeypatch):
         compiles = Counter()
