@@ -40,7 +40,10 @@ model and the instance's compiled evaluation share, so no dict keyed by
 pairs is built and no cell is read again in Python.  Only a table that
 fails this read is walked cell by cell, in document order, so a type error
 names its cell's JSON path and its constructor names a missing or
-undeclared pair.  Built objects keep read-only tables, so they stay valid.
+undeclared pair.  The ``scenarios`` list and the two lists of trajectory
+ids are read the same way: C-level passes over their entries' types, and a
+walk from the start that formats JSON paths only when a pass fails.  Built
+objects keep read-only tables, so they stay valid.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ from __future__ import annotations
 import json
 from dataclasses import replace
 from importlib import resources
+from itertools import repeat
 from pathlib import Path
 from typing import Any, Callable, Mapping
 
@@ -138,6 +142,44 @@ def _table(table: Any, row_ids: tuple[str, ...], column_ids: tuple[str, ...], pa
     }
 
 
+def _scenarios(entries: list) -> tuple[tuple[str, ...], dict[str, float]]:
+    """The scenario ids and probabilities of the ``scenarios`` list.
+
+    Entries that are all objects with a string ``id`` and a number ``prob``
+    are read in C-level passes over the list, one per field and one over
+    each field's types, so no JSON path is formatted.  Any other list is
+    walked from its start, so the first defect in document order is named
+    at its path."""
+    if set(map(type, entries)) <= {dict}:
+        ids = tuple(map(dict.get, entries, repeat("id")))
+        probs = list(map(dict.get, entries, repeat("prob")))
+        kinds = set(map(type, probs))
+        if set(map(type, ids)) <= _CELL_TYPES[_expect_str] and kinds <= _CELL_TYPES[_expect_number]:
+            try:
+                return ids, dict(zip(ids, map(float, probs) if int in kinds else probs))
+            except OverflowError:  # an integer beyond the float range: the walk names its entry
+                pass
+    scenario_ids: list[str] = []
+    probs_by_id: dict[str, float] = {}
+    for i, entry in enumerate(entries):
+        entry = _expect_object(entry, f"scenarios[{i}]")
+        sid = _expect_str(entry.get("id"), f"scenarios[{i}].id")
+        scenario_ids.append(sid)
+        probs_by_id[sid] = _expect_number(entry.get("prob"), f"scenarios[{i}].prob")
+    return tuple(scenario_ids), probs_by_id
+
+
+def _ids(doc: dict, key: str) -> tuple[str, ...]:
+    """The list of identifiers at ``doc[key]``, its types checked in one
+    C-level pass; a list holding anything else is walked from its start, so
+    the first non-string is named at its path."""
+    ids = tuple(_expect_list(doc[key], key))
+    if not set(map(type, ids)) <= _CELL_TYPES[_expect_str]:
+        for i, x in enumerate(ids):
+            _expect_str(x, f"{key}[{i}]")
+    return ids
+
+
 def instance_from_dict(doc: Any) -> Instance:
     """Build and validate an :class:`Instance` from a parsed JSON document.
 
@@ -153,23 +195,10 @@ def instance_from_dict(doc: Any) -> Instance:
         if key not in _TOP_LEVEL_KEYS:
             raise ValidationError(f"document: unexpected top-level key {key!r}")
 
-    scenario_ids: list[str] = []
-    probs: dict[str, float] = {}
-    for i, entry in enumerate(_expect_list(doc["scenarios"], "scenarios")):
-        entry = _expect_object(entry, f"scenarios[{i}]")
-        sid = _expect_str(entry.get("id"), f"scenarios[{i}].id")
-        scenario_ids.append(sid)
-        probs[sid] = _expect_number(entry.get("prob"), f"scenarios[{i}].prob")
-    space = _built("scenarios", FiniteProbSpace, tuple(scenario_ids), probs)
-
-    trajectories = tuple(
-        _expect_str(t, f"system_trajectories[{i}]")
-        for i, t in enumerate(_expect_list(doc["system_trajectories"], "system_trajectories"))
-    )
-    env_trajectories = tuple(
-        _expect_str(e, f"environment_trajectories[{i}]")
-        for i, e in enumerate(_expect_list(doc["environment_trajectories"], "environment_trajectories"))
-    )
+    scenario_ids, probs = _scenarios(_expect_list(doc["scenarios"], "scenarios"))
+    space = _built("scenarios", FiniteProbSpace, scenario_ids, probs)
+    trajectories = _ids(doc, "system_trajectories")
+    env_trajectories = _ids(doc, "environment_trajectories")
 
     responses = _table(doc["interaction"], trajectories, space.scenarios, "interaction", _expect_str)
 

@@ -73,8 +73,11 @@ class FiniteProbSpace:
         if set(self.probs) != set(self.scenarios):
             raise ValidationError("probabilities must cover exactly the declared scenarios")
         for omega in self.scenarios:
-            if not self.probs[omega] >= 0:  # also rejects NaN
-                raise ValidationError(f"probability of {omega!r} is negative")
+            p = self.probs[omega]
+            if not 0 <= p < inf:  # also rejects NaN
+                raise ValidationError(
+                    f"probability of {omega!r} is {p!r}; probabilities must be finite and nonnegative"
+                )
         total = _sum(self.probs[omega] for omega in self.scenarios)
         if abs(total - 1.0) > TOL:
             raise ValidationError(f"probabilities sum to {total!r}, expected 1")

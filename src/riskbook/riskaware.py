@@ -132,7 +132,8 @@ class Instance:
     instance's own ids, checked by comparing id tuples) are kept by
     reference; a caller's mapping is read pair by pair, once.  Each
     trajectory's scenarios grouped by response are compiled on the first
-    evaluation (:class:`_Compiled`).  None of this is a field, so equality,
+    evaluation, and the cost distributions later evaluations build are kept
+    with them (:class:`_Compiled`).  None of this is a field, so equality,
     :func:`dataclasses.replace`, pickling and deep copies never see it:
     every copy, including each one
     :func:`~riskbook.instances.with_risk_config` makes, is built and
@@ -218,6 +219,19 @@ class _Compiled:
     kept per group.  ``read_scenarios[t]`` and ``read_groups[t]`` read a
     violation row at ``t``'s responses, scenario by scenario and group by
     group, each in one :func:`operator.itemgetter` call.
+
+    ``kept_atoms`` holds the atoms of rule ``r``'s induced cost under ``t``,
+    keyed by ``(r, t)``: they depend on these tables alone, so every
+    evaluation of the instance may share them.  It fills from the
+    instance's second evaluation on, which :class:`_Evaluation` tells from
+    whether this object existed before it; the first evaluation builds its
+    atoms as it would otherwise and keeps none, so a one-shot report leaves
+    no atom alive past its call.  Only worst case, VaR and CVaR read atoms,
+    so the store holds at most one list per (rule, trajectory) whose rule
+    uses one of them, each with at most one atom per environment
+    trajectory: never more pairs than the instance has violation cells.
+    Threads that evaluate one instance at once can at worst both build a
+    list, and the two builds are equal.
     """
 
     def __init__(self, instance: Instance) -> None:
@@ -230,6 +244,7 @@ class _Compiled:
         self.groups = [self._group(responses, len(envs)) for responses in self.responses]
         self.read_scenarios = [_reader(responses) for responses in self.responses]
         self.read_groups = [_reader(group_envs) for group_envs, _, _ in self.groups]
+        self.kept_atoms: dict[tuple[int, int], list[tuple[float, float]]] = {}
 
     def _group(self, responses: tuple[int, ...], n_envs: int) -> tuple[list[int], list[list[int]], list[float]]:
         """One bucket pass over the ascending positions, so each group's
@@ -241,6 +256,14 @@ class _Compiled:
         positions = [buckets[e] for e in envs]
         probabilities = self.ascending_probs
         return envs, positions, [_total(probabilities, group) for group in positions]
+
+    def atoms(self, r: int, t: int) -> list[tuple[float, float]]:
+        """Distribution of rule ``r``'s induced cost under ``t``, equal to what
+        :func:`~riskbook.probspace.distribution` gives, from at most one group
+        of scenarios per environment trajectory."""
+        _, positions, totals = self.groups[t]
+        values = self.read_groups[t](self.rows[r][t])
+        return _atoms(zip(values, positions, totals), self.ascending_probs)
 
 
 def _once(method):
@@ -289,14 +312,19 @@ class _Evaluation:
     the first that is strictly less risky, so it assesses other trajectories
     only until it is decided.  The instance's
     tables are read-only and validated at construction, so nothing here
-    re-checks them.  Costs, atoms, risks, comparisons and witnesses serve
-    one top-level call and are not kept on the instance, so their memory is
+    re-checks them.  Atoms do not depend on the risk configurations: an
+    evaluation of an instance evaluated before reads and fills the compiled
+    tables' ``kept_atoms``, and the first evaluation builds its own and
+    keeps none.  Costs, risks, comparisons and witnesses serve one
+    top-level call and are not kept on the instance, so their memory is
     released with the call.
     """
 
     def __init__(self, instance: Instance) -> None:
         self.instance = instance
+        reused = "_compiled" in vars(instance)
         self.compiled = instance._compiled
+        self.kept_atoms = self.compiled.kept_atoms if reused else None
         self.rule_ids = instance.rulebook.rule_ids
         self.trajectories = instance.trajectories
         self.scenarios = instance.space.scenarios
@@ -328,12 +356,16 @@ class _Evaluation:
         return value
 
     def atoms(self, r: int, t: int) -> list[tuple[float, float]]:
-        """Distribution of rule ``r``'s induced cost under ``t``, equal to what
-        :func:`~riskbook.probspace.distribution` gives, from at most one group
-        of scenarios per environment trajectory."""
-        _, positions, totals = self.compiled.groups[t]
-        values = self.compiled.read_groups[t](self.compiled.rows[r][t])
-        return _atoms(zip(values, positions, totals), self.compiled.ascending_probs)
+        """The compiled tables' atoms of rule ``r``'s cost under ``t``, kept
+        with them unless this is the instance's first evaluation.  Every
+        evaluation reading a kept list shares it, and none changes it."""
+        kept = self.kept_atoms
+        if kept is None:
+            return self.compiled.atoms(r, t)
+        atoms = kept.get((r, t))
+        if atoms is None:
+            atoms = kept[(r, t)] = self.compiled.atoms(r, t)
+        return atoms
 
     def excess(self, r: int, t: int) -> float:
         return max(self.risk(r, t) - self.instance.risk_configs[self.rule_ids[r]].threshold, 0.0)

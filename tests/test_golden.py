@@ -11,7 +11,10 @@ and tied probabilities, so that the sign of each reported zero and the order
 of each summed probability show, and for ``intransitive``, three trajectories
 whose expected violations 0, 6e-10 and 1.2e-9 are each within tolerance of
 the next, so that ``check`` fails (exit 1) and names the broken triple.  Any
-change of a report byte fails here.
+change of a report byte fails here.  Each case is also rendered three times
+over through the library from one loaded instance, so that the reports of
+an instance evaluated before, which read the cost distributions it keeps,
+are held to the same files.
 
 The package adds floats left to right on every interpreter, so one set of
 files holds for every supported Python.  After an intended change of
@@ -35,7 +38,8 @@ from pathlib import Path
 import pytest
 
 import riskbook as rb
-from riskbook.cli import main
+from riskbook import reports
+from riskbook.cli import _parser, main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 INSTANCES = GOLDEN / "instances"
@@ -96,6 +100,40 @@ def golden_path(case: str, command: str, fmt: str) -> Path:
 def test_report_matches_golden(case, command, fmt):
     expected = golden_path(case, command, fmt).read_text(encoding="utf-8")
     assert render(case, command, fmt) == expected
+
+
+def render_from(instance: rb.Instance, command: str, fmt: str) -> str:
+    """What :func:`render` gives, rendered through the library from one
+    already loaded instance instead of a fresh one per CLI call."""
+    as_json = fmt == "json"
+    if command == "rank":
+        return reports.render_rank(reports.run_rank(instance), as_json=as_json)
+    if command == "risk":
+        return reports.render_risk_table(reports.run_risk_table(instance, instance.rulebook.rule_ids[0]), as_json=as_json)
+    if command == "check":
+        return reports.render_check(reports.run_check(instance), as_json=as_json)
+    trajectories = instance.trajectories
+    return "".join(
+        f"$ explain {a} {b}\n" + reports.render_explanation(reports.run_explain(instance, a, b), as_json=as_json)
+        for i, a in enumerate(trajectories)
+        for b in trajectories[i + 1 :]
+    )
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_reports_from_one_reused_instance_match_golden(case):
+    """Every report of a case, rendered three times over from one instance,
+    so that all but the first evaluation read the cost distributions the
+    instance keeps once it is evaluated again."""
+    path, overrides = CASES[case]
+    instance = rb.load_instance(path)
+    for rule_id, changes in (_parser().parse_args(["rank", str(path)] + overrides).scopes or {}).items():
+        instance = rb.with_risk_config(instance, rule_id, **changes)
+    for _ in range(3):
+        for command in COMMANDS:
+            for fmt in FORMATS:
+                expected = golden_path(case, command, fmt).read_text(encoding="utf-8")
+                assert render_from(instance, command, fmt) == expected, (command, fmt)
 
 
 def record() -> None:

@@ -239,6 +239,63 @@ def test_row_defect_message(case):
     assert str(excinfo.value) == message
 
 
+def _two_defects():
+    """Bundled document text with a string probability in the second scenario
+    and a list for the fourth, so only the first may be named."""
+    d = doc()
+    d["scenarios"][1]["prob"] = "0.001"
+    d["scenarios"][3] = ["w4", 0.01]
+    return json.dumps(d)
+
+
+_PROBABILITY = "scenarios: probability of 'w1' is {}; probabilities must be finite and nonnegative"
+
+# One defect past the first entry of a list of scenarios or ids, and its
+# message byte for byte.  The lists are read in C-level passes first, so
+# the path of the first defect comes from the walk that follows a failed
+# pass, and must name the right index.
+ENTRY_DEFECTS = {
+    "scenario not an object": (_with(["scenarios", 2], ["w3", 0.009]), "scenarios[2]: expected an object, got list"),
+    "scenario number id": (_with(["scenarios", 1, "id"], 2), "scenarios[1].id: expected a string, got int"),
+    "scenario missing id": (_with(["scenarios", 3, "id"]), "scenarios[3].id: expected a string, got NoneType"),
+    "scenario true prob": (_with(["scenarios", 3, "prob"], True), "scenarios[3].prob: expected a number, got bool"),
+    "scenario missing prob": (_with(["scenarios", 2, "prob"]), "scenarios[2].prob: expected a number, got NoneType"),
+    "scenario int prob beyond float range": (
+        _with(["scenarios", 1, "prob"], raw="1" + "0" * 400),
+        "scenarios[1].prob: number is too large for a float",
+    ),
+    "first of two defects": (_two_defects(), "scenarios[1].prob: expected a number, got str"),
+    "system trajectory null id": (
+        _with(["system_trajectories", 3], raw="null"),
+        "system_trajectories[3]: expected a string, got NoneType",
+    ),
+    "environment trajectory number id": (
+        _with(["environment_trajectories", 1], 7),
+        "environment_trajectories[1]: expected a string, got int",
+    ),
+    "probability NaN": (_with(["scenarios", 0, "prob"], raw="NaN"), _PROBABILITY.format("nan")),
+    "probability Infinity": (_with(["scenarios", 0, "prob"], raw="Infinity"), _PROBABILITY.format("inf")),
+    "probability -Infinity": (_with(["scenarios", 0, "prob"], raw="-Infinity"), _PROBABILITY.format("-inf")),
+    "probability negative": (_with(["scenarios", 0, "prob"], -0.5), _PROBABILITY.format("-0.5")),
+}
+
+
+@pytest.mark.parametrize("case", list(ENTRY_DEFECTS))
+def test_entry_defect_message(case):
+    text, message = ENTRY_DEFECTS[case]
+    with pytest.raises(rb.ValidationError) as excinfo:
+        parse_instance(text)
+    assert str(excinfo.value) == message
+
+
+def test_integer_probabilities_read_as_floats():
+    d = doc()
+    d["scenarios"] = [{"id": "w1", "prob": 1}] + [{"id": w, "prob": 0} for w in ("w2", "w3", "w4")]
+    probs = instance_from_dict(d).space.probs
+    assert list(probs.values()) == [1.0, 0.0, 0.0, 0.0]
+    assert all(type(p) is float for p in probs.values())
+
+
 def _edit(path, value):
     """An edit that sets ``doc[path[0]]...[path[-1]] = value``."""
 

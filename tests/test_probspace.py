@@ -185,16 +185,17 @@ class TestGroupedAtoms:
                 rb.Rulebook(tuple(rules), rb.build_preorder([r.id for r in rules], [])),
                 {r.id: rb.RiskConfig(measures[i % 3], 0.0) for i, r in enumerate(rules)},
             )
-            ev = riskaware._Evaluation(instance)
-            for r, rule in enumerate(rules):
-                for t, trajectory in enumerate(trajectories):
-                    expected = sorted_pairs_atoms(
-                        (rule.violations[(trajectory, instance.interaction.responses[(trajectory, w)])], space.probs[w])
-                        for w in space.scenarios
-                    )
-                    assert same_atoms(ev.atoms(r, t), expected)
-                    reference = assess_support(instance.risk_configs[rule.id].measure, expected)
-                    assert repr(ev.risk(r, t)) == repr(reference)
+            # The first evaluation builds atoms, the second keeps them and the third reads them.
+            for ev in (riskaware._Evaluation(instance) for _ in range(3)):
+                for r, rule in enumerate(rules):
+                    for t, trajectory in enumerate(trajectories):
+                        expected = sorted_pairs_atoms(
+                            (rule.violations[(trajectory, instance.interaction.responses[(trajectory, w)])], space.probs[w])
+                            for w in space.scenarios
+                        )
+                        assert same_atoms(ev.atoms(r, t), expected)
+                        reference = assess_support(instance.risk_configs[rule.id].measure, expected)
+                        assert repr(ev.risk(r, t)) == repr(reference)
 
     # The cases below reach the builder's shortcut for well-separated values
     # and its fallback to the merge, at up to 200 responses and 400 scenarios.
@@ -243,16 +244,17 @@ class TestGroupedAtoms:
             {rule.id: rb.RiskConfig(measures[i % 3], 0.0) for i, rule in enumerate(rules)},
         )
         responses = instance.interaction.responses
-        ev = riskaware._Evaluation(instance)
-        for r, rule in enumerate(rules):
-            for t, trajectory in enumerate(trajectories):
-                expected = sorted_pairs_atoms(
-                    (rule.violations[(trajectory, responses[(trajectory, w)])], space.probs[w])
-                    for w in space.scenarios
-                )
-                assert same_atoms(ev.atoms(r, t), expected)
-                reference = assess_support(instance.risk_configs[rule.id].measure, expected)
-                assert repr(ev.risk(r, t)) == repr(reference)
+        # The first evaluation builds atoms, the second keeps them and the third reads them.
+        for ev in (riskaware._Evaluation(instance) for _ in range(3)):
+            for r, rule in enumerate(rules):
+                for t, trajectory in enumerate(trajectories):
+                    expected = sorted_pairs_atoms(
+                        (rule.violations[(trajectory, responses[(trajectory, w)])], space.probs[w])
+                        for w in space.scenarios
+                    )
+                    assert same_atoms(ev.atoms(r, t), expected)
+                    reference = assess_support(instance.risk_configs[rule.id].measure, expected)
+                    assert repr(ev.risk(r, t)) == repr(reference)
 
     @pytest.mark.parametrize("n_scenarios,n_envs", SIZES)
     def test_separated_values(self, n_scenarios, n_envs):

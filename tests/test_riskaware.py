@@ -360,6 +360,29 @@ class TestStructuralProperties:
                     assert compare_trajectories(inst, a, b) in (Verdict.LOWER, Verdict.EQUAL)
 
 
+def seeded_instance(n_rules, n_trajectories):
+    """A seeded instance whose rules all use expected cost; at R6/T10 it has
+    four optimal trajectories and many witnessed tradeoffs."""
+    rng = random.Random(4)
+    scenarios = [f"w{i}" for i in range(20)]
+    weights = [rng.uniform(0.1, 1.0) for _ in scenarios]
+    weights[rng.randrange(len(scenarios))] = 0.0
+    total = sum(weights)
+    trajectories = [f"t{i}" for i in range(n_trajectories)]
+    envs = ("e0", "e1", "e2")
+    rules = [f"r{i}" for i in range(n_rules)]
+    return build_instance(
+        probs={w: x / total for w, x in zip(scenarios, weights)},
+        envs=envs,
+        interaction={(t, w): rng.choice(envs) for t in trajectories for w in scenarios},
+        tables={
+            r: {(t, e): rng.choice((0.0, 0.0, 1.0, 2.0, 3.0)) for t in trajectories for e in envs}
+            for r in rules
+        },
+        edges=[(a, b) for i, a in enumerate(rules) for b in rules[i + 1 :] if rng.random() < 0.3],
+    )
+
+
 class TestOperationCounts:
     """Counts of induced cost builds and risk assessments, made beneath the
     evaluation's per-call memo where each one is computed, on a seeded T10/R6
@@ -369,24 +392,7 @@ class TestOperationCounts:
 
     @pytest.fixture()
     def instance(self):
-        rng = random.Random(4)
-        scenarios = [f"w{i}" for i in range(20)]
-        weights = [rng.uniform(0.1, 1.0) for _ in scenarios]
-        weights[rng.randrange(len(scenarios))] = 0.0
-        total = sum(weights)
-        trajectories = [f"t{i}" for i in range(self.TRAJECTORIES)]
-        envs = ("e0", "e1", "e2")
-        rules = [f"r{i}" for i in range(self.RULES)]
-        return build_instance(
-            probs={w: x / total for w, x in zip(scenarios, weights)},
-            envs=envs,
-            interaction={(t, w): rng.choice(envs) for t in trajectories for w in scenarios},
-            tables={
-                r: {(t, e): rng.choice((0.0, 0.0, 1.0, 2.0, 3.0)) for t in trajectories for e in envs}
-                for r in rules
-            },
-            edges=[(a, b) for i, a in enumerate(rules) for b in rules[i + 1 :] if rng.random() < 0.3],
-        )
+        return seeded_instance(self.RULES, self.TRAJECTORIES)
 
     @pytest.fixture()
     def counts(self, monkeypatch):
@@ -511,3 +517,89 @@ class TestOperationCounts:
         monkeypatch.setattr(rb.Preorder, "compare", counting_compare)
         assert len(reports.run_rank(instance).explanations) == 77
         assert calls["compare"] == 0
+
+
+class TestKeptAtoms:
+    """Calls to the atom builder, ``riskaware._atoms``, on the seeded T10/R6
+    instance with four rules reconfigured to worst case, VaR and CVaR, whose
+    risks read atoms, and two left at expected cost, whose risks do not.
+    The compiled instance keeps atoms from its second evaluation on."""
+
+    RULES, TRAJECTORIES = 6, 10
+    OVERRIDES = {
+        "r0": dict(measure="worst_case"),
+        "r1": dict(measure="var", alpha=0.8),
+        "r2": dict(measure="cvar", alpha=0.9),
+        "r4": dict(measure="worst_case", threshold=1.0),
+    }
+    PAIRS = len(OVERRIDES) * TRAJECTORIES  # (rule, trajectory) pairs whose risk reads atoms
+
+    @pytest.fixture()
+    def instance(self):
+        instance = seeded_instance(self.RULES, self.TRAJECTORIES)
+        for rule_id, override in self.OVERRIDES.items():
+            instance = rb.with_risk_config(instance, rule_id, **override)
+        return instance
+
+    @pytest.fixture()
+    def builds(self, monkeypatch):
+        builds = Counter()
+        build = riskaware._atoms
+
+        def counting_atoms(groups, probabilities):
+            builds["atoms"] += 1
+            return build(groups, probabilities)
+
+        monkeypatch.setattr(riskaware, "_atoms", counting_atoms)
+        return builds
+
+    @staticmethod
+    def kept(instance):
+        return instance._compiled.kept_atoms
+
+    def test_one_shot_report_keeps_no_atoms(self, instance, builds):
+        reports.run_rank(instance)
+        assert builds["atoms"] == self.PAIRS
+        assert self.kept(instance) == {}
+
+    def test_second_report_keeps_at_most_one_list_per_pair(self, instance, builds):
+        first = reports.render_rank(reports.run_rank(instance), as_json=True)
+        second = reports.render_rank(reports.run_rank(instance), as_json=True)
+        assert second == first
+        assert builds["atoms"] == 2 * self.PAIRS
+        kept = self.kept(instance)
+        assert len(kept) == self.PAIRS <= self.RULES * self.TRAJECTORIES
+        assert {instance.rulebook.rule_ids[r] for r, _ in kept} == set(self.OVERRIDES)
+
+    REPORTS = {
+        "rank": lambda inst: reports.run_rank(inst),
+        "check": lambda inst: reports.run_check(inst),
+        "risk": lambda inst: [reports.run_risk_table(inst, rule_id) for rule_id in inst.rulebook.rule_ids],
+        "explain": lambda inst: [reports.run_explain(inst, a, b) for a, b in itertools.permutations(inst.trajectories, 2)],
+        "comparison_matrix": rb.comparison_matrix,
+        "optimal_set": optimal_set,
+        "safe_set": rb.safe_set,
+        "risk_of": lambda inst: [risk_of(inst, r, t) for r in inst.rulebook.rule_ids for t in inst.trajectories],
+    }
+
+    @pytest.mark.parametrize("third", sorted(REPORTS))
+    @pytest.mark.parametrize("first,second", [("rank", "rank"), ("rank", "check"), ("check", "rank"), ("check", "check")])
+    def test_third_report_builds_no_atoms(self, instance, builds, first, second, third):
+        self.REPORTS[first](instance)
+        self.REPORTS[second](instance)
+        builds.clear()
+        self.REPORTS[third](instance)
+        assert builds["atoms"] == 0
+
+    def test_copy_builds_its_own_atoms(self, instance, builds):
+        reports.run_rank(instance)
+        reports.run_rank(instance)
+        kept = dict(self.kept(instance))
+        copy = rb.with_risk_config(instance, "r0", threshold=0.5)
+        builds.clear()
+        reports.run_rank(copy)
+        assert builds["atoms"] == self.PAIRS and self.kept(copy) == {}
+        reports.run_rank(copy)
+        assert builds["atoms"] == 2 * self.PAIRS and len(self.kept(copy)) == self.PAIRS
+        assert self.kept(instance) == kept
+        assert all(self.kept(copy)[key] is not atoms for key, atoms in kept.items())
