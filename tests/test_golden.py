@@ -10,8 +10,12 @@ and CVaR rules see ``0.0`` and ``-0.0`` violations, near-ties within 1e-9
 and tied probabilities, so that the sign of each reported zero and the order
 of each summed probability show, and for ``intransitive``, three trajectories
 whose expected violations 0, 6e-10 and 1.2e-9 are each within tolerance of
-the next, so that ``check`` fails (exit 1) and names the broken triple.  Any
-change of a report byte fails here.  Each case is also rendered three times
+the next, so that ``check`` fails (exit 1) and names the broken triple, and
+for ``escaped_ids``, whose rule, trajectory, environment and scenario ids
+hold ``"``, ``\\``, ``/``, control characters and non-ASCII text (an astral
+character included), and where one compensating rule's scenario list backs
+the witnesses of several improving rules.  Any change of a report byte
+fails here.  Each case is also rendered three times
 over through the library from one loaded instance, so that the reports of
 an instance evaluated before, which read the cost distributions it keeps,
 are held to the same files.
@@ -56,6 +60,7 @@ CASES = {
     **{f"instgen_{seed}": (INSTANCES / f"instgen_{seed}.json", []) for seed in INSTGEN_SEEDS},
     "signed_zero": (INSTANCES / "signed_zero.json", []),
     "intransitive": (INSTANCES / "intransitive.json", []),
+    "escaped_ids": (INSTANCES / "escaped_ids.json", []),
 }
 # Cases whose ``check`` fails, so that it exits 1.
 FAILED_CHECKS = ("intransitive",)
