@@ -128,7 +128,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         instance = load_instance(args.file)
         for rule_id, overrides in scopes.items():
-            instance = with_risk_config(instance, rule_id, **overrides)
+            if overrides:
+                instance = with_risk_config(instance, rule_id, **overrides)
+            else:  # a scope with nothing in it keeps the instance, but must name a declared rule
+                instance.require_rule(rule_id)
 
         if args.command == "rank":
             print(render_rank(run_rank(instance), as_json=args.json), end="")

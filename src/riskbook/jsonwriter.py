@@ -11,11 +11,19 @@ container and joins each container's items with one ``",\\n" + pad``
 separator.  Strings go through ``json.encoder.encode_basestring_ascii``, the
 C escaper ``json.dumps`` itself uses, so a list of strings is one
 ``join(map(...))`` in C.
+
+One hook lets a caller write part of the tree itself: where ``dumps``
+reaches a :class:`Written` value, it calls the value's ``write(pad)`` with
+the indentation of that position and places the returned text there.  Such
+text is made with :func:`string`, :func:`number`, :func:`array`,
+:func:`fields` and :func:`indent`, so escaping, number formatting and
+layout stay in this module.
 """
 
 from __future__ import annotations
 
-from json.encoder import encode_basestring_ascii as _string
+from collections.abc import Callable
+from json.encoder import encode_basestring_ascii as string
 
 _float = float.__repr__
 _int = int.__repr__
@@ -27,35 +35,74 @@ def dumps(obj: object) -> str:
     return _value(obj, "\n")
 
 
+class Written:
+    """A value of the tree whose text its owner writes: ``write(pad)``
+    returns the JSON text of the value at the indentation ``pad``."""
+
+    __slots__ = ("write",)
+
+    def __init__(self, write: Callable[[str], str]) -> None:
+        self.write = write
+
+
+def indent(pad: str) -> str:
+    """The indentation of the items of a container written at ``pad``."""
+    return pad + "  "
+
+
+def number(x: float) -> str:
+    """A float as ``json.dumps`` writes it: its shortest round-trip repr,
+    with NaN and the infinities by their JavaScript names."""
+    text = _float(x)
+    return _NONFINITE.get(text, text)
+
+
+def array(texts: list[str], pad: str) -> str:
+    """A list at ``pad`` whose items are the written ``texts``."""
+    if not texts:
+        return "[]"
+    items = indent(pad)
+    return f"[{items}{(',' + items).join(texts)}{pad}]"
+
+
+def fields(keys: tuple[str, ...], pad: str) -> str:
+    """A ``%``-format of an object at ``pad`` with ``keys`` in order, one
+    ``%s`` per key for its written value."""
+    if not keys:
+        return "{}"
+    items = indent(pad)
+    body = ("," + items).join(string(k).replace("%", "%%") + ": %s" for k in keys)
+    return f"{{{items}{body}{pad}}}"
+
+
 def _value(o: object, pad: str) -> str:
     """``o`` written at the indentation ``pad``, a newline and its spaces."""
     if isinstance(o, str):
-        return _string(o)
+        return string(o)
     if isinstance(o, dict):
         if not o:
             return "{}"
-        inner = pad + "  "
+        inner = indent(pad)
         body = ("," + inner).join(
-            [f"{_string(k)}: {_string(v) if type(v) is str else _value(v, inner)}" for k, v in o.items()]
+            [f"{string(k)}: {string(v) if type(v) is str else _value(v, inner)}" for k, v in o.items()]
         )
         return f"{{{inner}{body}{pad}}}"
     if isinstance(o, (list, tuple)):
         if not o:
             return "[]"
-        inner = pad + "  "
+        inner = indent(pad)
         sep = "," + inner
         body = None
         if isinstance(o[0], str):
             try:
-                body = sep.join(map(_string, o))
+                body = sep.join(map(string, o))
             except TypeError:
                 pass  # a mixed list: written item by item below
         if body is None:
             body = sep.join([_value(v, inner) for v in o])
         return f"[{inner}{body}{pad}]"
     if isinstance(o, float):
-        text = _float(o)
-        return _NONFINITE.get(text, text)
+        return number(o)
     if o is True:
         return "true"
     if o is False:
@@ -64,4 +111,6 @@ def _value(o: object, pad: str) -> str:
         return _int(o)
     if o is None:
         return "null"
+    if type(o) is Written:
+        return o.write(pad)
     raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")

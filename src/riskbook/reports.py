@@ -16,8 +16,9 @@ rationale they print is the comparison each verdict was read from.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
-from .jsonwriter import dumps
+from .jsonwriter import Written, array, dumps, fields, indent, number, string
 from .preorder import Verdict, first_intransitive
 from .risk import CUSTOM, spot_check_monotonicity
 from .riskaware import Instance, TradeoffWitness, _Evaluation
@@ -266,9 +267,88 @@ def _witness_phrase(w: TradeoffWitness) -> str:
     )
 
 
+_EXPLANATION_KEYS = ("optimal_trajectory", "challenger", "improving_rule", "witnesses")
+_WITNESS_KEYS = ("improving_rule", "compensating_rule", "witness_scenarios", "witness_probability")
+
+
+@cache
+def _record_layout(pad: str) -> tuple[str, str, str, str]:
+    """For an explanation list at ``pad``: the format of one explanation, the
+    indentation of its witness list, the format of one witness and the
+    indentation of its scenario list."""
+    explanation = indent(pad)
+    witness_list = indent(explanation)
+    witness = indent(witness_list)
+    return fields(_EXPLANATION_KEYS, explanation), witness_list, fields(_WITNESS_KEYS, witness), indent(witness)
+
+
+def _explanation_records(explanations: tuple[TradeoffExplanation, ...]) -> Written:
+    """The JSON list of ``explanations``, rank's ``explanations`` and
+    explain's ``tradeoffs``, written straight to text where :func:`dumps`
+    places it.  Each distinct scenario tuple is written once per call: one
+    compensating rule's list backs the witnesses of every improving rule it
+    outweighs."""
+
+    def write(pad: str) -> str:
+        if not explanations:
+            return "[]"
+        explanation_format, witness_list, witness_format, scenario_list = _record_layout(pad)
+        written: dict[tuple[str, ...], str] = {}
+
+        def scenarios(ids: tuple[str, ...]) -> str:
+            text = written.get(ids)
+            if text is None:
+                text = written[ids] = array(list(map(string, ids)), scenario_list)
+            return text
+
+        def witnesses(e: TradeoffExplanation) -> str:
+            return array(
+                [
+                    witness_format
+                    % (
+                        string(w.improving_rule),
+                        string(w.compensating_rule),
+                        scenarios(w.witness_scenarios),
+                        number(w.witness_probability),
+                    )
+                    for w in e.witnesses
+                ],
+                witness_list,
+            )
+
+        return array(
+            [
+                explanation_format
+                % (string(e.optimal_trajectory), string(e.challenger), string(e.improving_rule), witnesses(e))
+                for e in explanations
+            ],
+            pad,
+        )
+
+    return Written(write)
+
+
 def render_rank(report: RankingReport, as_json: bool = False) -> str:
+    trajectories = [a.trajectory for a in report.assessments]
     if as_json:
-        return dumps(rank_to_json(report))
+        return dumps(
+            {
+                "rules": list(report.rule_ids),
+                "trajectories": [
+                    {
+                        "id": a.trajectory,
+                        "risks": {r: a.risks[r] for r in report.rule_ids},
+                        "excesses": {r: a.excesses[r] for r in report.rule_ids},
+                        "safe": a.safe,
+                    }
+                    for a in report.assessments
+                ],
+                "matrix": {a: {b: report.matrix[(a, b)].value for b in trajectories} for a in trajectories},
+                "safe": list(report.safe),
+                "optimal": list(report.optimal),
+                "explanations": _explanation_records(report.explanations),
+            }
+        )
     rows = []
     for a in report.assessments:
         rows.append(
@@ -282,7 +362,6 @@ def render_rank(report: RankingReport, as_json: bool = False) -> str:
             rows,
         )
     ]
-    trajectories = [a.trajectory for a in report.assessments]
     matrix_rows = [
         [a] + [report.matrix[(a, b)].value for b in trajectories] for a in trajectories
     ]
@@ -301,47 +380,6 @@ def render_rank(report: RankingReport, as_json: bool = False) -> str:
                 + "; ".join(_witness_phrase(w) for w in e.witnesses)
             )
     return "\n".join(lines) + "\n"
-
-
-def _witness_to_json(w: TradeoffWitness) -> dict:
-    return {
-        "improving_rule": w.improving_rule,
-        "compensating_rule": w.compensating_rule,
-        "witness_scenarios": w.witness_scenarios,
-        "witness_probability": w.witness_probability,
-    }
-
-
-def _explanations_to_json(explanations: tuple[TradeoffExplanation, ...]) -> list:
-    return [
-        {
-            "optimal_trajectory": e.optimal_trajectory,
-            "challenger": e.challenger,
-            "improving_rule": e.improving_rule,
-            "witnesses": [_witness_to_json(w) for w in e.witnesses],
-        }
-        for e in explanations
-    ]
-
-
-def rank_to_json(report: RankingReport) -> dict:
-    trajectories = [a.trajectory for a in report.assessments]
-    return {
-        "rules": list(report.rule_ids),
-        "trajectories": [
-            {
-                "id": a.trajectory,
-                "risks": {r: a.risks[r] for r in report.rule_ids},
-                "excesses": {r: a.excesses[r] for r in report.rule_ids},
-                "safe": a.safe,
-            }
-            for a in report.assessments
-        ],
-        "matrix": {a: {b: report.matrix[(a, b)].value for b in trajectories} for a in trajectories},
-        "safe": list(report.safe),
-        "optimal": list(report.optimal),
-        "explanations": _explanations_to_json(report.explanations),
-    }
 
 
 def render_risk_table(table: RiskTable, as_json: bool = False) -> str:
@@ -390,7 +428,7 @@ def render_explanation(explanation: Explanation, as_json: bool = False) -> str:
                 "excesses": explanation.excesses,
                 "first_worse": [_disadvantage_to_json(d) for d in explanation.first_worse],
                 "second_worse": [_disadvantage_to_json(d) for d in explanation.second_worse],
-                "tradeoffs": _explanations_to_json(explanation.tradeoffs),
+                "tradeoffs": _explanation_records(explanation.tradeoffs),
             }
         )
 

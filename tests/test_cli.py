@@ -302,6 +302,33 @@ class TestOverrideScopes:
         out, err = capsys.readouterr()
         assert out == "" and err == "error: unknown rule 'nope'\n"
 
+    @pytest.mark.parametrize(
+        "argv, code, built",
+        [
+            (["risk", "--rule", "r1"], 0, 1),
+            (["rank", "--rule", "r1"], 0, 1),
+            (["rank", "--rule", "r1", "--threshold", "1"], 0, 2),
+            (["rank", "--rule", "r1", "--rule", "r2", "--threshold", "1"], 0, 2),
+            (["rank", "--rule", "nope"], 1, 1),
+        ],
+    )
+    def test_only_a_scope_with_overrides_builds_a_copy(self, av_file, capsys, monkeypatch, argv, code, built):
+        """The loaded instance is the first construction; each scope that
+        holds an override builds one reconfigured copy, and an empty scope
+        builds none but must still name a declared rule."""
+        constructions = []
+        post_init = rb.Instance.__post_init__
+
+        def counted(instance):
+            constructions.append(instance)
+            post_init(instance)
+
+        monkeypatch.setattr(rb.Instance, "__post_init__", counted)
+        assert main([argv[0], av_file, *argv[1:]]) == code
+        assert len(constructions) == built
+        if code:
+            assert capsys.readouterr().err == "error: unknown rule 'nope'\n"
+
     def test_reopened_scope_collects_its_flags(self, av_file, capsys):
         once = ["--rule", "r1", "--measure", "worst_case", "--threshold", "175", "--rule", "r2"]
         reopened = ["--rule", "r1", "--threshold", "175", "--rule", "r2", "--rule", "r1", "--measure", "worst_case"]

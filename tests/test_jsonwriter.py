@@ -1,4 +1,5 @@
-"""The package's JSON writer against ``json.dumps(indent=2)``, its reference."""
+"""The package's JSON writer, its helpers and its hook against
+``json.dumps(indent=2)``, their reference."""
 
 import json
 import math
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riskbook.jsonwriter import dumps
+from riskbook.jsonwriter import Written, array, dumps, fields, indent, number, string
 
 # Control characters, non-ASCII text, astral characters and lone surrogates,
 # each of which the string escaper writes differently.
@@ -43,6 +44,32 @@ trees = st.recursive(scalars, _containers, max_leaves=40)
 @settings(max_examples=600)
 def test_writer_equals_json_dumps_indent_2(obj):
     assert dumps(obj) == json.dumps(obj, indent=2)
+
+
+def written(o):
+    """``o`` as a :class:`Written` hook whose text only the helpers write."""
+
+    def write(pad):
+        if isinstance(o, dict):
+            return fields(tuple(o), pad) % tuple(written(v).write(indent(pad)) for v in o.values())
+        if isinstance(o, (list, tuple)):
+            return array([written(v).write(indent(pad)) for v in o], pad)
+        if isinstance(o, str):
+            return string(o)
+        if isinstance(o, float):
+            return number(o)
+        return dumps(o)  # an int, a boolean or None
+
+    return Written(write)
+
+
+@given(trees)
+@settings(max_examples=200)
+def test_hook_places_text_the_helpers_write_at_its_position(obj):
+    assert dumps(written(obj)) == json.dumps(obj, indent=2)
+    assert dumps({"k%s": [1, written(obj)], "v": written(["%", obj])}) == json.dumps(
+        {"k%s": [1, obj], "v": ["%", obj]}, indent=2
+    )
 
 
 @pytest.mark.parametrize(

@@ -1,13 +1,21 @@
 import dataclasses
 import itertools
 import json
+import math
 import random
 
 import pytest
 
 import riskbook as rb
 from riskbook import run_check, run_explain, run_rank, run_risk_table
-from riskbook.reports import render_check, render_explanation, render_rank, render_risk_table
+from riskbook import reports
+from riskbook.reports import (
+    TradeoffExplanation,
+    render_check,
+    render_explanation,
+    render_rank,
+    render_risk_table,
+)
 
 from instgen import random_instance
 
@@ -198,6 +206,172 @@ class TestExplainRationale:
                         assert list(d.compensators) == sorted(d.compensators, key=position.get)
                         several += len(d.compensators) > 1
         assert several > 10
+
+
+def reference_tradeoffs(explanations):
+    """The JSON tree of an explanation list, built as dicts for ``json.dumps``."""
+    return [
+        {
+            "optimal_trajectory": e.optimal_trajectory,
+            "challenger": e.challenger,
+            "improving_rule": e.improving_rule,
+            "witnesses": [
+                {
+                    "improving_rule": w.improving_rule,
+                    "compensating_rule": w.compensating_rule,
+                    "witness_scenarios": w.witness_scenarios,
+                    "witness_probability": w.witness_probability,
+                }
+                for w in e.witnesses
+            ],
+        }
+        for e in explanations
+    ]
+
+
+def reference_rank(report):
+    """The JSON tree of a ranking report, built as dicts for ``json.dumps``."""
+    trajectories = [a.trajectory for a in report.assessments]
+    return {
+        "rules": list(report.rule_ids),
+        "trajectories": [
+            {
+                "id": a.trajectory,
+                "risks": {r: a.risks[r] for r in report.rule_ids},
+                "excesses": {r: a.excesses[r] for r in report.rule_ids},
+                "safe": a.safe,
+            }
+            for a in report.assessments
+        ],
+        "matrix": {a: {b: report.matrix[(a, b)].value for b in trajectories} for a in trajectories},
+        "safe": list(report.safe),
+        "optimal": list(report.optimal),
+        "explanations": reference_tradeoffs(report.explanations),
+    }
+
+
+def reference_explanation(explanation):
+    """The JSON tree of an explanation, built as dicts for ``json.dumps``."""
+
+    def disadvantages(side):
+        return [
+            {
+                "rule": d.rule_id,
+                "excess": d.value,
+                "other_excess": d.other_value,
+                "compensated_by": list(d.compensators),
+            }
+            for d in side
+        ]
+
+    return {
+        "first": explanation.first,
+        "second": explanation.second,
+        "verdict": explanation.verdict.value,
+        "excesses": explanation.excesses,
+        "first_worse": disadvantages(explanation.first_worse),
+        "second_worse": disadvantages(explanation.second_worse),
+        "tradeoffs": reference_tradeoffs(explanation.tradeoffs),
+    }
+
+
+def assert_json_matches_reference(report=None, explanation=None):
+    if report is not None:
+        assert render_rank(report, as_json=True) == json.dumps(reference_rank(report), indent=2)
+    if explanation is not None:
+        expected = json.dumps(reference_explanation(explanation), indent=2)
+        assert render_explanation(explanation, as_json=True) == expected
+
+
+def witness(improving, compensating, scenarios, probability):
+    return rb.TradeoffWitness(improving, compensating, scenarios, probability)
+
+
+# Ids the string escaper writes differently, and probabilities at the ends of
+# the float range, together with the non-finite ones ``json.dumps`` names.
+ODD_IDS = ('"q"', "b\\s", "s/l", "\x00\x1f", "\u00e9", "\U0001f600", "\ud800")
+ODD_PROBABILITIES = (5e-324, 1e-7, 0.1 + 0.2, 1.0, 1e16, 1e308, math.inf, math.nan, -0.0)
+
+
+class TestReportJson:
+    """``--json`` reports equal ``json.dumps(tree, indent=2)`` of the tree a
+    test-side builder makes from the same report, and each distinct scenario
+    tuple is written once per report."""
+
+    def test_random_instances_match_the_reference(self):
+        rng = random.Random(41)
+        witnesses = shared = tradeoffs = 0
+        for _ in range(80):
+            instance = random_instance(rng)
+            report = run_rank(instance)
+            assert_json_matches_reference(report=report)
+            listed = [w.witness_scenarios for e in report.explanations for w in e.witnesses]
+            witnesses += len(listed)
+            shared += len(listed) - len(set(listed))
+            for first, second in itertools.product(instance.trajectories, repeat=2):
+                explanation = run_explain(instance, first, second)
+                assert_json_matches_reference(explanation=explanation)
+                tradeoffs += len(explanation.tradeoffs)
+        assert witnesses > 300 and shared > 250 and tradeoffs > 250
+
+    def test_edge_cases_match_the_reference(self, av_worst_case):
+        report = run_rank(av_worst_case)
+        explanation = run_explain(av_worst_case, "tau2", "tau1")
+        assert report.explanations and explanation.tradeoffs
+        shared = ("w1", "w2")
+        cases = [
+            (),
+            (TradeoffExplanation("tau2", "tau1", "r3", ()),),
+            (
+                TradeoffExplanation(
+                    "tau2", "tau1", "r3", (witness("r3", "r1", shared, 0.5), witness("r3", "r2", shared, 0.25))
+                ),
+                TradeoffExplanation("tau2", "tau4", "r2", (witness("r2", "r1", tuple(list(shared)), 0.5),)),
+            ),
+            tuple(
+                TradeoffExplanation(a, b, c, tuple(witness(c, b, rotated, p) for p in ODD_PROBABILITIES))
+                for a, b, c, rotated in (
+                    (*ODD_IDS[i : i + 3], ODD_IDS[i:] + ODD_IDS[:i]) for i in range(len(ODD_IDS) - 2)
+                )
+            ),
+        ]
+        for explanations in cases:
+            assert_json_matches_reference(
+                report=dataclasses.replace(report, explanations=explanations),
+                explanation=dataclasses.replace(explanation, tradeoffs=explanations),
+            )
+
+    @pytest.mark.parametrize("command", ["rank", "explain"])
+    def test_each_distinct_scenario_tuple_is_written_once(self, av_worst_case, monkeypatch, command):
+        """k distinct tuples give k written lists of ids, whether equal
+        tuples are one object or several."""
+        shared = ("w1", "w2")
+        explanations = (
+            TradeoffExplanation(
+                "tau2", "tau1", "r3", (witness("r3", "r1", shared, 0.5), witness("r3", "r2", ("w3",), 0.25))
+            ),
+            TradeoffExplanation("tau2", "tau1", "r4", (witness("r4", "r1", shared, 0.5),)),
+            TradeoffExplanation("tau2", "tau4", "r3", (witness("r3", "r1", tuple(list(shared)), 0.5),)),
+            TradeoffExplanation("tau2", "tau4", "r4", ()),
+        )
+        id_lists = []
+        array = reports.array
+
+        def counted(texts, pad):
+            if texts and texts[0].startswith('"'):
+                id_lists.append(texts)
+            return array(texts, pad)
+
+        monkeypatch.setattr(reports, "array", counted)
+        if command == "rank":
+            report = dataclasses.replace(run_rank(av_worst_case), explanations=explanations)
+            listed = json.loads(render_rank(report, as_json=True))["explanations"]
+        else:
+            explanation = dataclasses.replace(run_explain(av_worst_case, "tau2", "tau1"), tradeoffs=explanations)
+            listed = json.loads(render_explanation(explanation, as_json=True))["tradeoffs"]
+        assert id_lists == [['"w1"', '"w2"'], ['"w3"']]
+        scenario_lists = [w["witness_scenarios"] for e in listed for w in e["witnesses"]]
+        assert scenario_lists == [list(shared), ["w3"], list(shared), list(shared)]
 
 
 class TestCheck:
