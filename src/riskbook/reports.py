@@ -8,6 +8,11 @@ produce byte-identical output.  The JSON form is written by
 ``json.dumps(tree, indent=2)`` for the trees of dicts with ``str`` keys,
 lists, tuples, strings, numbers, booleans and ``None`` built here, and
 raises ``TypeError`` on anything else rather than writing other bytes.
+The one exception is a list of tradeoff explanations (rank's
+``explanations``, explain's ``tradeoffs``): its records are written
+straight to text through the writer's :class:`~riskbook.jsonwriter.Written`
+hook, with no dict per witness, and each distinct scenario list is written
+once per report however many witnesses it backs.
 
 Reports compare nothing: they assemble what one evaluation decided, so the
 rationale they print is the comparison each verdict was read from.
@@ -16,7 +21,6 @@ rationale they print is the comparison each verdict was read from.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 
 from .jsonwriter import Written, array, dumps, fields, indent, number, string
 from .preorder import Verdict, first_intransitive
@@ -271,17 +275,6 @@ _EXPLANATION_KEYS = ("optimal_trajectory", "challenger", "improving_rule", "witn
 _WITNESS_KEYS = ("improving_rule", "compensating_rule", "witness_scenarios", "witness_probability")
 
 
-@cache
-def _record_layout(pad: str) -> tuple[str, str, str, str]:
-    """For an explanation list at ``pad``: the format of one explanation, the
-    indentation of its witness list, the format of one witness and the
-    indentation of its scenario list."""
-    explanation = indent(pad)
-    witness_list = indent(explanation)
-    witness = indent(witness_list)
-    return fields(_EXPLANATION_KEYS, explanation), witness_list, fields(_WITNESS_KEYS, witness), indent(witness)
-
-
 def _explanation_records(explanations: tuple[TradeoffExplanation, ...]) -> Written:
     """The JSON list of ``explanations``, rank's ``explanations`` and
     explain's ``tradeoffs``, written straight to text where :func:`dumps`
@@ -292,7 +285,12 @@ def _explanation_records(explanations: tuple[TradeoffExplanation, ...]) -> Writt
     def write(pad: str) -> str:
         if not explanations:
             return "[]"
-        explanation_format, witness_list, witness_format, scenario_list = _record_layout(pad)
+        explanation = indent(pad)
+        witness_list = indent(explanation)
+        witness = indent(witness_list)
+        scenario_list = indent(witness)
+        explanation_format = fields(_EXPLANATION_KEYS, explanation)
+        witness_format = fields(_WITNESS_KEYS, witness)
         written: dict[tuple[str, ...], str] = {}
 
         def scenarios(ids: tuple[str, ...]) -> str:
