@@ -5,7 +5,9 @@ reads a JSON instance file, applies any risk-configuration overrides, and
 prints a deterministic report (``--json`` for the machine-readable form).
 Overrides are scoped: ``--rule ID`` opens a scope and the following
 ``--measure``/``--alpha``/``--threshold`` flags apply to it, so several
-rules can be reconfigured in one invocation.
+rules can be reconfigured in one invocation.  Each scope holding an
+override builds one reconfigured copy of the instance; a scope holding
+none only has its rule checked.
 
 Exit codes: 0 on success, 1 on validation or evaluation errors (a failed
 ``check`` and a ``--rule`` naming an undeclared rule among them), 2 when
@@ -130,7 +132,7 @@ def main(argv: list[str] | None = None) -> int:
         for rule_id, overrides in scopes.items():
             if overrides:
                 instance = with_risk_config(instance, rule_id, **overrides)
-            else:  # a scope with nothing in it keeps the instance, but must name a declared rule
+            else:
                 instance.require_rule(rule_id)
 
         if args.command == "rank":
