@@ -41,9 +41,10 @@ pairs is built and no cell is read again in Python.  Only a table that
 fails this read is walked cell by cell, in document order, so a type error
 names its cell's JSON path and its constructor names a missing or
 undeclared pair.  The ``scenarios`` list and the two lists of trajectory
-ids are read the same way: C-level passes over their entries' types, and a
-walk from the start that formats JSON paths only when a pass fails.  Built
-objects keep read-only tables, so they stay valid.
+ids are walked once each, in document order: an entry whose types are the
+expected ones is read as it stands, and a JSON path is formatted only for
+the entry that fails a type test.  Built objects keep read-only tables, so
+they stay valid.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ from __future__ import annotations
 import json
 from dataclasses import replace
 from importlib import resources
-from itertools import repeat
 from pathlib import Path
 from typing import Any, Callable, Mapping
 
@@ -145,37 +145,32 @@ def _table(table: Any, row_ids: tuple[str, ...], column_ids: tuple[str, ...], pa
 def _scenarios(entries: list) -> tuple[tuple[str, ...], dict[str, float]]:
     """The scenario ids and probabilities of the ``scenarios`` list.
 
-    Entries that are all objects with a string ``id`` and a number ``prob``
-    are read in C-level passes over the list, one per field and one over
-    each field's types, so no JSON path is formatted.  Any other list is
-    walked from its start, so the first defect in document order is named
-    at its path."""
-    if set(map(type, entries)) <= {dict}:
-        ids = tuple(map(dict.get, entries, repeat("id")))
-        probs = list(map(dict.get, entries, repeat("prob")))
-        kinds = set(map(type, probs))
-        if set(map(type, ids)) <= _CELL_TYPES[_expect_str] and kinds <= _CELL_TYPES[_expect_number]:
-            try:
-                return ids, dict(zip(ids, map(float, probs) if int in kinds else probs))
-            except OverflowError:  # an integer beyond the float range: the walk names its entry
-                pass
-    scenario_ids: list[str] = []
-    probs_by_id: dict[str, float] = {}
+    One walk in document order.  An object entry with a string ``id`` and a
+    float ``prob`` is read as it stands; a value that fails its type test
+    goes to its ``_expect_*`` check, which converts an integer and names
+    anything else at its JSON path, so the first defect is named and no
+    other path is formatted."""
+    ids: list[str] = []
+    probs: dict[str, float] = {}
     for i, entry in enumerate(entries):
-        entry = _expect_object(entry, f"scenarios[{i}]")
-        sid = _expect_str(entry.get("id"), f"scenarios[{i}].id")
-        scenario_ids.append(sid)
-        probs_by_id[sid] = _expect_number(entry.get("prob"), f"scenarios[{i}].prob")
-    return tuple(scenario_ids), probs_by_id
+        if type(entry) is not dict:
+            entry = _expect_object(entry, f"scenarios[{i}]")
+        sid, prob = entry.get("id"), entry.get("prob")
+        if type(sid) is not str:
+            sid = _expect_str(sid, f"scenarios[{i}].id")
+        if type(prob) is not float:
+            prob = _expect_number(prob, f"scenarios[{i}].prob")
+        ids.append(sid)
+        probs[sid] = prob
+    return tuple(ids), probs
 
 
 def _ids(doc: dict, key: str) -> tuple[str, ...]:
-    """The list of identifiers at ``doc[key]``, its types checked in one
-    C-level pass; a list holding anything else is walked from its start, so
-    the first non-string is named at its path."""
+    """The list of identifiers at ``doc[key]``, walked once; only the first
+    entry that is not a string has its JSON path formatted, and is named."""
     ids = tuple(_expect_list(doc[key], key))
-    if not set(map(type, ids)) <= _CELL_TYPES[_expect_str]:
-        for i, x in enumerate(ids):
+    for i, x in enumerate(ids):
+        if type(x) is not str:
             _expect_str(x, f"{key}[{i}]")
     return ids
 

@@ -6,11 +6,11 @@
 non-``str`` key included, rather than writing other bytes.
 
 ``json.dumps`` leaves its C encoder whenever ``indent`` is set and yields
-every token through nested Python generators.  This writer recurses once per
-container and joins each container's items with one ``",\\n" + pad``
-separator.  Strings go through ``json.encoder.encode_basestring_ascii``, the
-C escaper ``json.dumps`` itself uses, so a list of strings is one
-``join(map(...))`` in C.
+every token through nested Python generators.  This writer makes one call
+per value, whatever its type, and joins each container's written items with
+one ``",\\n" + pad`` separator.  Strings go through
+``json.encoder.encode_basestring_ascii``, the C escaper ``json.dumps`` itself
+uses.
 
 One hook lets a caller write part of the tree itself: where ``dumps``
 reaches a :class:`Written` value, it calls the value's ``write(pad)`` with
@@ -83,23 +83,13 @@ def _value(o: object, pad: str) -> str:
         if not o:
             return "{}"
         inner = indent(pad)
-        body = ("," + inner).join(
-            [f"{string(k)}: {string(v) if type(v) is str else _value(v, inner)}" for k, v in o.items()]
-        )
+        body = ("," + inner).join([f"{string(k)}: {_value(v, inner)}" for k, v in o.items()])
         return f"{{{inner}{body}{pad}}}"
     if isinstance(o, (list, tuple)):
         if not o:
             return "[]"
         inner = indent(pad)
-        sep = "," + inner
-        body = None
-        if isinstance(o[0], str):
-            try:
-                body = sep.join(map(string, o))
-            except TypeError:
-                pass  # a mixed list: written item by item below
-        if body is None:
-            body = sep.join([_value(v, inner) for v in o])
+        body = ("," + inner).join([_value(v, inner) for v in o])
         return f"[{inner}{body}{pad}]"
     if isinstance(o, float):
         return number(o)

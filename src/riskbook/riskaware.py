@@ -310,14 +310,15 @@ class _Evaluation:
     every (rule, trajectory) pair once.  Deciding whether one trajectory is
     optimal compares it with the others in declaration order and stops at
     the first that is strictly less risky, so it assesses other trajectories
-    only until it is decided.  The instance's
-    tables are read-only and validated at construction, so nothing here
-    re-checks them.  Atoms do not depend on the risk configurations: an
-    evaluation of an instance evaluated before reads and fills the compiled
-    tables' ``kept_atoms``, and the first evaluation builds its own and
-    keeps none.  Costs, risks, comparisons and witnesses serve one
-    top-level call and are not kept on the instance, so their memory is
-    released with the call.
+    only until it is decided.  That decision itself is not memoized, since no
+    report asks it twice about one trajectory; the comparisons it reads are.
+    The instance's tables are read-only and validated at construction, so
+    nothing here re-checks them.  Atoms do not depend on the risk
+    configurations: an evaluation of an instance evaluated before reads and
+    fills the compiled tables' ``kept_atoms``, and the first evaluation
+    builds its own and keeps none.  Costs, risks, comparisons and witnesses
+    serve one top-level call and are not kept on the instance, so their
+    memory is released with the call.
     """
 
     def __init__(self, instance: Instance) -> None:
@@ -399,7 +400,6 @@ class _Evaluation:
         n = range(len(self.trajectories))
         return {(self.trajectories[a], self.trajectories[b]): self.verdict(a, b) for a in n for b in n}
 
-    @_once
     def is_optimal(self, t: int) -> bool:
         """Whether no trajectory is strictly less risky than ``t``; the scan
         runs in declaration order and stops at the first one that is."""

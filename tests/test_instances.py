@@ -5,6 +5,8 @@ import pickle
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import riskbook as rb
 from riskbook import (
@@ -16,6 +18,7 @@ from riskbook import (
     with_risk_config,
 )
 
+from riskbook.instances import _expect_number, _expect_object, _expect_str
 from riskbook.rulebook import _Grid
 
 from instgen import ALL_KINDS, ALPHAS, THRESHOLDS, random_instance
@@ -251,9 +254,9 @@ def _two_defects():
 _PROBABILITY = "scenarios: probability of 'w1' is {}; probabilities must be finite and nonnegative"
 
 # One defect past the first entry of a list of scenarios or ids, and its
-# message byte for byte.  The lists are read in C-level passes first, so
-# the path of the first defect comes from the walk that follows a failed
-# pass, and must name the right index.
+# message byte for byte.  Each list is walked once and formats a path only
+# for the entry that fails a type test, so that path must name the right
+# index.
 ENTRY_DEFECTS = {
     "scenario not an object": (_with(["scenarios", 2], ["w3", 0.009]), "scenarios[2]: expected an object, got list"),
     "scenario number id": (_with(["scenarios", 1, "id"], 2), "scenarios[1].id: expected a string, got int"),
@@ -286,6 +289,66 @@ def test_entry_defect_message(case):
     with pytest.raises(rb.ValidationError) as excinfo:
         parse_instance(text)
     assert str(excinfo.value) == message
+
+
+def _eager_walk(d):
+    """The message for the first defect in ``d``'s ``scenarios`` and
+    trajectory-id lists, or None: a reference reader that checks every
+    entry at its formatted JSON path, in the order the parser reads them."""
+    try:
+        for i, entry in enumerate(d["scenarios"]):
+            entry = _expect_object(entry, f"scenarios[{i}]")
+            _expect_str(entry.get("id"), f"scenarios[{i}].id")
+            _expect_number(entry.get("prob"), f"scenarios[{i}].prob")
+        for key in ("system_trajectories", "environment_trajectories"):
+            for i, x in enumerate(d[key]):
+                _expect_str(x, f"{key}[{i}]")
+    except rb.ValidationError as exc:
+        return str(exc)
+    return None
+
+
+_MISSING = object()
+# Defects of one scenario entry: a non-object in its place, or a dict of
+# bad field values, so that one entry may hold two defects.
+_SCENARIO_DEFECTS = st.one_of(
+    st.sampled_from([["w1", 0.5], "w1", None, 0.5, True]),
+    st.fixed_dictionaries(
+        {},
+        optional={
+            "id": st.sampled_from([_MISSING, None, 7, 0.5, True, ["w1"]]),
+            "prob": st.sampled_from([_MISSING, None, True, False, "0.25", 10**400]),
+        },
+    ).filter(bool),
+)
+_ID_DEFECTS = st.sampled_from([None, 7, 0.5, True, ["tau1"], {"id": "tau1"}])
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_walk_names_the_first_defect_like_an_eager_walk(data):
+    d = doc()
+    for _ in range(data.draw(st.integers(1, 2), label="defects")):
+        key = data.draw(st.sampled_from(["scenarios", "system_trajectories", "environment_trajectories"]))
+        entries = d[key]
+        i = data.draw(st.integers(0, len(entries) - 1), label=f"{key} index")
+        if key != "scenarios":
+            entries[i] = data.draw(_ID_DEFECTS, label="id")
+            continue
+        defect = data.draw(_SCENARIO_DEFECTS, label="scenario defect")
+        if type(defect) is not dict:
+            entries[i] = defect
+        elif type(entries[i]) is dict:  # an entry already replaced keeps that defect
+            for field, value in defect.items():
+                if value is _MISSING:
+                    entries[i].pop(field, None)
+                else:
+                    entries[i][field] = value
+    expected = _eager_walk(d)
+    assert expected is not None
+    with pytest.raises(rb.ValidationError) as excinfo:
+        parse_instance(json.dumps(d))
+    assert str(excinfo.value) == expected
 
 
 def test_integer_probabilities_read_as_floats():

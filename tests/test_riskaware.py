@@ -470,6 +470,27 @@ class TestOperationCounts:
             assert sum(compared.values()) <= 2 * self.TRAJECTORIES - 1
             assert max(compared.values()) == 1
 
+    def test_optimality_is_decided_at_most_once_per_trajectory_per_call(self, instance, monkeypatch):
+        # ``is_optimal`` keeps no memo: a caller that asked twice about one
+        # trajectory within a call would fail here and need one again.
+        decided = Counter()
+        is_optimal = riskaware._Evaluation.is_optimal
+
+        def counting_is_optimal(ev, t):
+            decided[t] += 1
+            return is_optimal(ev, t)
+
+        monkeypatch.setattr(riskaware._Evaluation, "is_optimal", counting_is_optimal)
+        calls = [lambda: reports.run_rank(instance), lambda: pointwise_case(instance, "t4", "t0", "r0", "w1")]
+        calls += [
+            lambda a=a, b=b: reports.run_explain(instance, a, b)
+            for a, b in itertools.permutations(instance.trajectories, 2)
+        ]
+        for call in calls:
+            decided.clear()
+            call()
+            assert decided and max(decided.values()) == 1
+
     def test_pointwise_case_compares_only_the_optimal_trajectory(self, instance, monkeypatch):
         compared = []
         compare = riskaware.compare_profiles
