@@ -10,8 +10,9 @@ override builds one reconfigured copy of the instance; a scope holding
 none only has its rule checked.
 
 Exit codes: 0 on success, 1 on validation or evaluation errors (a failed
-``check`` and a ``--rule`` naming an undeclared rule among them), 2 when
-the document (or the command line) cannot be parsed.
+``check``, a ``--rule`` naming an undeclared rule and an ``explain`` of one
+trajectory with itself among them), 2 when the document (or the command
+line) cannot be parsed.
 """
 
 from __future__ import annotations
@@ -96,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     risk = sub.add_parser("risk", help="risk table for one rule (first --rule selects it)")
     _add_common(risk)
 
-    explain = sub.add_parser("explain", help="head-to-head comparison of two trajectories")
+    explain = sub.add_parser("explain", help="head-to-head comparison of two different trajectories")
     _add_common(explain)
     explain.add_argument("first", help="first trajectory id")
     explain.add_argument("second", help="second trajectory id")

@@ -12,9 +12,9 @@ trajectory's scenarios by the environment response they trigger.  Both feed
 one atom builder, which alone merges equal values and picks a zero's sign:
 its atoms are exactly those of sorting every (value, probability) pair and
 merging values within tolerance, down to the order of each sum and the sign
-of a zero.  The builder sorts the groups once; when neighbouring values are
-all further apart than the tolerance, as continuous costs are, the groups
-are the atoms, and it returns them with no Python step per group.
+of a zero.  The builder yields them from the top down, so a reader that
+needs only the upper tail (worst case, CVaR) stops early and the groups
+below are never merged; :func:`distribution` runs it to the end.
 
 Every sum of floats in the package goes through one of two helpers here,
 both adding left to right from ``0.0``: :func:`_sum` over a sequence of
@@ -32,9 +32,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain, groupby
 from math import inf
-from operator import itemgetter, sub
+from operator import itemgetter
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import DomainMismatch, PreconditionViolated, UnknownScenario, ValidationError, rebuild, require_unique
 from .tolerance import TOL, eq, ge, gt, le, lt
@@ -52,11 +52,9 @@ _RELATIONS = {
 }
 
 # Bound once, as :func:`_atoms` runs once per (rule, trajectory): the fields
-# of a ``(value, positions, total)`` group, and ``d -> TOL < d``.
+# of a ``(value, positions, total)`` group.
 _group_value = itemgetter(0)
 _group_positions = itemgetter(1)
-_group_total = itemgetter(2)
-_beyond_tol = TOL.__lt__
 
 
 @dataclass(frozen=True)
@@ -153,10 +151,19 @@ def distribution(space: FiniteProbSpace, f: RandomCost) -> list[tuple[float, flo
     merged into one atom and scenarios of probability zero are dropped, so
     the result reflects only outcomes that can actually occur.
     """
+    atoms = list(_top_down(space, f)[0])
+    atoms.reverse()
+    return atoms
+
+
+def _top_down(space: FiniteProbSpace, f: RandomCost) -> tuple[Iterator[tuple[float, float]], int]:
+    """The atoms of ``f``'s distribution from the top down, as :func:`_atoms`
+    yields them, and the number of groups they come from, which bounds
+    their number."""
     _check_domain(space, f)
     order, probabilities = _ascending([space.probs[omega] for omega in space.scenarios])
     groups = [(f.values[space.scenarios[k]], [i], probabilities[i]) for i, k in enumerate(order)]
-    return _atoms(groups, probabilities)
+    return _atoms(groups, probabilities), len(groups)
 
 
 def _ascending(probs: Sequence[float]) -> tuple[list[int], list[float]]:
@@ -185,32 +192,51 @@ def _total(probabilities: list[float], positions: Iterable[int], total: float = 
     return total
 
 
-def _atoms(groups: Iterable[tuple[float, list[int], float]], probabilities: list[float]) -> list[tuple[float, float]]:
+def _atoms(groups: Iterable[tuple[float, list[int], float]], probabilities: list[float]) -> Iterator[tuple[float, float]]:
     """Atoms of a distribution given as groups of scenarios sharing one value,
     each ``(value, positions, total)``: ascending positions in the order of
     :func:`_ascending`, whose ``probabilities`` they index, and their
-    :func:`_total`.
+    :func:`_total`.  The atoms are yielded in descending value order.
 
-    The result equals sorting every scenario's ``(value, probability)`` pair
-    and merging, left to right, each value within tolerance of the current
-    atom's first value into that atom.  Groups of exactly equal value, such
-    as ``0.0`` and ``-0.0``, are interleaved by position as the sort would
-    interleave them, and the atom takes the value of the pair that comes first.
+    Reversed, they equal sorting every scenario's ``(value, probability)``
+    pair and merging, left to right, each value within tolerance of the
+    current atom's first value into that atom.  Groups of exactly equal
+    value, such as ``0.0`` and ``-0.0``, are interleaved by position as the
+    sort would interleave them, and the atom takes the value of the pair
+    that comes first.
 
-    The groups are sorted by value once.  When every gap between consecutive
-    values exceeds the tolerance, no two groups share a value and no value
-    lies within tolerance of the one before it, so the merge below would
-    make each group an atom of its own, ``(value, total)``; that case is
-    decided by one pass of C-level subtractions and comparisons and builds
-    those pairs directly, with the same bits.  Any tie, near-tie or signed
-    zero fails the test and takes the merge.
+    The groups are sorted by value once and read from the top.  Neighbours
+    within tolerance form a cluster, which no atom crosses: the merge starts
+    a new atom at a cluster's lowest value, since every atom below is
+    anchored more than the tolerance away.  So each cluster is merged on
+    its own, left to right from its lowest member as above, once the gap
+    below it or the bottom of the support is reached, and its atoms are
+    yielded top first.  A cluster of one group, as every group of a
+    continuous cost is, is the atom ``(value, total)``; consecutive atoms
+    always lie more than the tolerance apart.
     """
-    groups = sorted(groups, key=_group_value)
-    values = list(map(_group_value, groups))
-    if all(map(_beyond_tol, map(sub, values[1:], values))):
-        return list(zip(values, map(_group_total, groups)))
+    groups = sorted(groups, key=_group_value, reverse=True)
+    end = len(groups)
+    start = 0
+    while start < end:
+        value, _, total = groups[start]
+        stop = start + 1
+        low = value
+        while stop < end and low - groups[stop][0] <= TOL:
+            low = groups[stop][0]
+            stop += 1
+        if stop == start + 1:
+            yield value, total
+        else:
+            yield from _merged(reversed(groups[start:stop]), probabilities)
+        start = stop
+
+
+def _merged(cluster: Iterable[tuple[float, list[int], float]], probabilities: list[float]) -> Iterator[tuple[float, float]]:
+    """The atoms of one cluster of :func:`_atoms`, given as its groups in
+    ascending value order, top first."""
     atoms: list[tuple[float, float]] = []
-    for _, run in groupby(groups, key=_group_value):
+    for _, run in groupby(cluster, key=_group_value):
         run = list(run)
         if len(run) == 1:
             value, positions, total = run[0]
@@ -224,4 +250,4 @@ def _atoms(groups: Iterable[tuple[float, list[int], float]], probabilities: list
             atoms[-1] = (anchor, _total(probabilities, positions, mass))
         else:
             atoms.append((value, total))
-    return atoms
+    return reversed(atoms)

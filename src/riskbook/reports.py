@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import PreconditionViolated
 from .jsonwriter import Written, array, dumps, fields, indent, number, string
 from .preorder import Verdict, first_intransitive
 from .risk import CUSTOM, spot_check_monotonicity
@@ -179,9 +180,12 @@ def run_explain(instance: Instance, first: str, second: str) -> Explanation:
     Only the two sides' optimality is decided, each by comparing it with
     the other trajectories until one is strictly less risky, so an explain
     makes at most 2T - 1 profile comparisons for T trajectories and builds
-    and assesses only the induced costs those comparisons read.
+    and assesses only the induced costs those comparisons read.  The two
+    sides must be different trajectories.
     """
     a, b = instance.require_trajectory(first), instance.require_trajectory(second)
+    if a == b:
+        raise PreconditionViolated(f"explain compares two different trajectories, got {first!r} on both sides")
     ev = _Evaluation(instance)
     return Explanation(
         first=first,

@@ -23,7 +23,7 @@ from functools import cached_property, wraps
 from math import inf, isfinite
 from operator import mul
 from types import MappingProxyType
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .errors import (
     AssumptionUnmet,
@@ -220,18 +220,20 @@ class _Compiled:
     violation row at ``t``'s responses, scenario by scenario and group by
     group, each in one :func:`operator.itemgetter` call.
 
-    ``kept_atoms`` holds the atoms of rule ``r``'s induced cost under ``t``,
-    keyed by ``(r, t)``: they depend on these tables alone, so every
-    evaluation of the instance may share them.  It fills from the
-    instance's second evaluation on, which :class:`_Evaluation` tells from
-    whether this object existed before it; the first evaluation builds its
-    atoms as it would otherwise and keeps none, so a one-shot report leaves
-    no atom alive past its call.  Only worst case, VaR and CVaR read atoms,
-    so the store holds at most one list per (rule, trajectory) whose rule
-    uses one of them, each with at most one atom per environment
-    trajectory: never more pairs than the instance has violation cells.
-    Threads that evaluate one instance at once can at worst both build a
-    list, and the two builds are equal.
+    :meth:`atoms` yields a rule's atoms under ``t`` from the top down, and
+    builds them only as far as they are read.  ``kept_atoms`` holds every
+    atom of rule ``r``'s induced cost under ``t``, top first, keyed by ``(r,
+    t)``: they depend on these tables alone, so every evaluation of the
+    instance may share them.  It fills from the instance's second
+    evaluation on, which :class:`_Evaluation` tells from whether this object
+    existed before it; the first evaluation reads the builder as far as its
+    measure needs and keeps nothing, so a one-shot report leaves no atom
+    alive past its call.  Only worst case, VaR and CVaR read atoms, so the
+    store holds at most one list per (rule, trajectory) whose rule uses one
+    of them, each with at most one atom per environment trajectory: never
+    more pairs than the instance has violation cells.  Threads that evaluate
+    one instance at once can at worst both build a list, and the two builds
+    are equal.
     """
 
     def __init__(self, instance: Instance) -> None:
@@ -257,13 +259,14 @@ class _Compiled:
         probabilities = self.ascending_probs
         return envs, positions, [_total(probabilities, group) for group in positions]
 
-    def atoms(self, r: int, t: int) -> list[tuple[float, float]]:
-        """Distribution of rule ``r``'s induced cost under ``t``, equal to what
-        :func:`~riskbook.probspace.distribution` gives, from at most one group
-        of scenarios per environment trajectory."""
+    def atoms(self, r: int, t: int) -> tuple[Iterator[tuple[float, float]], int]:
+        """The atoms of rule ``r``'s induced cost under ``t`` from the top down,
+        those of :func:`~riskbook.probspace.distribution` in reverse, built as
+        far as they are read from at most one group of scenarios per
+        environment trajectory, and the number of groups."""
         _, positions, totals = self.groups[t]
         values = self.read_groups[t](self.rows[r][t])
-        return _atoms(zip(values, positions, totals), self.ascending_probs)
+        return _atoms(zip(values, positions, totals), self.ascending_probs), len(values)
 
 
 def _once(method):
@@ -295,8 +298,10 @@ class _Evaluation:
     probabilities in the same order, both left to right through
     :mod:`riskbook.probspace`'s helpers, so every interpreter gives the same
     bits.  Worst case, VaR and CVaR read atoms built from ``t``'s response
-    groups, so at most one group per environment trajectory.  Custom
-    measures receive a :class:`RandomCost`.
+    groups, so at most one group per environment trajectory, from the top
+    down: worst case reads one atom and CVaR stops once no lower atom can
+    change it (:mod:`riskbook.risk`).  Custom measures receive a
+    :class:`RandomCost`.
     A risk of any measure that is not finite, such as an expected cost that
     overflows, is a :class:`~riskbook.errors.ValidationError` naming the
     rule, the trajectory and the value, so no report prints ``Infinity``.
@@ -315,10 +320,10 @@ class _Evaluation:
     The instance's tables are read-only and validated at construction, so
     nothing here re-checks them.  Atoms do not depend on the risk
     configurations: an evaluation of an instance evaluated before reads and
-    fills the compiled tables' ``kept_atoms``, and the first evaluation
-    builds its own and keeps none.  Costs, risks, comparisons and witnesses
-    serve one top-level call and are not kept on the instance, so their
-    memory is released with the call.
+    fills the compiled tables' ``kept_atoms`` with complete lists, and the
+    first evaluation reads the atom builder directly and keeps none.
+    Costs, risks, comparisons and witnesses serve one top-level call and are
+    not kept on the instance, so their memory is released with the call.
     """
 
     def __init__(self, instance: Instance) -> None:
@@ -347,8 +352,11 @@ class _Evaluation:
             value = _sum(map(mul, self.compiled.probs, self.cost(r, t)))
         elif measure.kind == CUSTOM:
             value = assess(measure, self.instance.space, self.random_cost(r, t))
+        elif self.kept_atoms is None:
+            value = assess_support(measure, *self.compiled.atoms(r, t))
         else:
-            value = assess_support(measure, self.atoms(r, t))
+            atoms = self.atoms(r, t)
+            value = assess_support(measure, atoms, len(atoms))
         if not isfinite(value):
             raise ValidationError(
                 f"risk of rule {self.rule_ids[r]!r} under trajectory {self.trajectories[t]!r} is "
@@ -357,15 +365,16 @@ class _Evaluation:
         return value
 
     def atoms(self, r: int, t: int) -> list[tuple[float, float]]:
-        """The compiled tables' atoms of rule ``r``'s cost under ``t``, kept
-        with them unless this is the instance's first evaluation.  Every
-        evaluation reading a kept list shares it, and none changes it."""
+        """Every atom of rule ``r``'s cost under ``t``, top first as the
+        compiled tables' builder yields them, kept with the tables unless
+        this is the instance's first evaluation.  Every evaluation reading a
+        kept list shares it, and none changes it."""
         kept = self.kept_atoms
         if kept is None:
-            return self.compiled.atoms(r, t)
+            return list(self.compiled.atoms(r, t)[0])
         atoms = kept.get((r, t))
         if atoms is None:
-            atoms = kept[(r, t)] = self.compiled.atoms(r, t)
+            atoms = kept[(r, t)] = list(self.compiled.atoms(r, t)[0])
         return atoms
 
     def excess(self, r: int, t: int) -> float:

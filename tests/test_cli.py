@@ -100,6 +100,12 @@ class TestExplain:
         assert main(["explain", av_file, "tau2", "nope"]) == 1
         assert "nope" in capsys.readouterr().err
 
+    def test_one_trajectory_on_both_sides_is_refused(self, av_file, capsys):
+        assert main(["explain", av_file, "tau1", "tau1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: explain compares two different trajectories, got 'tau1' on both sides\n"
+
 
 class TestCheck:
     def test_bundled_instance_passes(self, av_file, capsys):

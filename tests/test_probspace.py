@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 import riskbook as rb
 from riskbook import FiniteProbSpace, RandomCost, distribution, exceedance_prob, expectation, riskaware
-from riskbook.risk import assess_support
+from fullscan import assess_support
 
 AV_PROBS = {"w1": 0.98, "w2": 0.001, "w3": 0.009, "w4": 0.01}
 AV_SCENARIOS = ("w1", "w2", "w3", "w4")
@@ -193,7 +193,7 @@ class TestGroupedAtoms:
                             (rule.violations[(trajectory, instance.interaction.responses[(trajectory, w)])], space.probs[w])
                             for w in space.scenarios
                         )
-                        assert same_atoms(ev.atoms(r, t), expected)
+                        assert same_atoms(ev.atoms(r, t)[::-1], expected)
                         reference = assess_support(instance.risk_configs[rule.id].measure, expected)
                         assert repr(ev.risk(r, t)) == repr(reference)
 
@@ -252,7 +252,7 @@ class TestGroupedAtoms:
                         (rule.violations[(trajectory, responses[(trajectory, w)])], space.probs[w])
                         for w in space.scenarios
                     )
-                    assert same_atoms(ev.atoms(r, t), expected)
+                    assert same_atoms(ev.atoms(r, t)[::-1], expected)
                     reference = assess_support(instance.risk_configs[rule.id].measure, expected)
                     assert repr(ev.risk(r, t)) == repr(reference)
 

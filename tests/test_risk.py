@@ -5,8 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import riskbook as rb
-from riskbook import FiniteProbSpace, RandomCost, RiskMeasure, assess
+from riskbook import FiniteProbSpace, RandomCost, RiskMeasure, assess, riskaware
+from riskbook.probspace import _sum
+from riskbook.risk import assess_support
 
+import fullscan
 from instgen import tail_average_cvar
 
 AV_SCENARIOS = ("w1", "w2", "w3", "w4")
@@ -73,11 +76,13 @@ class TestTailExpectation:
 
 def support_point_cvar(atoms, alpha):
     """Reference: the Rockafellar-Uryasev objective summed term by term at
-    every support point, the quadratic form the one-pass evaluation replaces."""
+    every support point, the quadratic form the one-pass evaluation replaces.
+    Its sums add left to right like the library's, not by builtin ``sum``,
+    which is compensated from Python 3.12 on."""
     if alpha == 1.0:
         return atoms[-1][0]
     scale = 1.0 / (1.0 - alpha)
-    return min(beta + scale * sum(p * (v - beta) for v, p in atoms if v > beta) for beta, _ in atoms)
+    return min(beta + scale * _sum(p * (v - beta) for v, p in atoms if v > beta) for beta, _ in atoms)
 
 
 class TestOnePassTailExpectation:
@@ -112,6 +117,141 @@ class TestOnePassTailExpectation:
             alpha = rng.randint(1, n - 1) / n
             expected = support_point_cvar(rb.distribution(space, f), alpha)
             assert assess(RiskMeasure.cvar(alpha), space, f) == expected
+
+
+def counted(atoms, reads):
+    """``atoms``, appending to ``reads`` how many a reader took."""
+    reads.append(0)
+    for atom in atoms:
+        reads[-1] += 1
+        yield atom
+
+
+class TestTopDownEquivalence:
+    """Worst case, VaR and CVaR read atoms from the top down and CVaR stops
+    early; each must equal the full scan of :mod:`fullscan` bit for bit, down
+    to the sign of a zero, both on atoms fresh from the builder and on a
+    kept list."""
+
+    ALPHAS = (0.0, 0.5, 0.9, 0.9988, 1 - 1e-12, 1.0)
+    MEASURES = (
+        [RiskMeasure.worst_case()]
+        + [RiskMeasure.var(alpha) for alpha in ALPHAS]
+        + [RiskMeasure.cvar(alpha) for alpha in ALPHAS]
+    )
+    MAGNITUDES = (1e-12, 1e-9, 1e-6, 1.0, 1e3, 1e6, 1e12)
+
+    @staticmethod
+    def instance(weights, env_values, responses, measures):
+        """One trajectory whose scenario ``k`` triggers environment
+        ``responses[k]``, and one rule per measure, each costing
+        ``env_values[e]`` under environment ``e``."""
+        total = _sum(weights)
+        ids = tuple(f"w{k}" for k in range(len(weights)))
+        envs = tuple(f"e{e}" for e in range(len(env_values)))
+        rules = tuple(rb.Rule(f"r{i}", {("t", env): v for env, v in zip(envs, env_values)}) for i in range(len(measures)))
+        return rb.Instance(
+            FiniteProbSpace(ids, {w: x / total for w, x in zip(ids, weights)}),
+            ("t",),
+            envs,
+            rb.InteractionModel({("t", w): envs[e] for w, e in zip(ids, responses)}),
+            rb.Rulebook(rules, rb.build_preorder([rule.id for rule in rules], [])),
+            {rule.id: rb.RiskConfig(measure, 0.0) for rule, measure in zip(rules, measures)},
+        )
+
+    def check(self, weights, env_values, responses, measures=MEASURES):
+        """Every measure on the fresh and kept paths against the full scan;
+        returns the full atom list, top first, and the atoms each measure
+        read fresh from the builder."""
+        instance = self.instance(weights, env_values, responses, measures)
+        f = RandomCost({w: env_values[e] for w, e in zip(instance.space.scenarios, responses)})
+        reference_atoms = fullscan.distribution(instance.space, f)
+        top_down = rb.distribution(instance.space, f)[::-1]
+        assert repr(top_down) == repr(reference_atoms[::-1])
+        first = riskaware._Evaluation(instance)
+        assert first.kept_atoms is None
+        compiled = first.compiled
+        reads = []
+        for r, measure in enumerate(measures):
+            expected = repr(fullscan.assess_support(measure, reference_atoms))
+            assert repr(assess(measure, instance.space, f)) == expected, measure
+            assert repr(assess_support(measure, top_down, len(top_down))) == expected, measure
+            atoms, size = compiled.atoms(r, 0)
+            assert repr(assess_support(measure, counted(atoms, reads), size)) == expected, measure
+            if measure.kind == "var":
+                assert reads[-1] == len(top_down)
+            elif measure.kind == "worst_case" or measure.alpha == 1.0:
+                assert reads[-1] == 1
+            assert repr(first.risk(r, 0)) == expected, measure
+        # The second evaluation keeps every list and the third reads the kept ones.
+        for ev in (riskaware._Evaluation(instance) for _ in range(2)):
+            for r, measure in enumerate(measures):
+                assert repr(ev.atoms(r, 0)) == repr(reference_atoms[::-1])
+                assert repr(ev.risk(r, 0)) == repr(fullscan.assess_support(measure, reference_atoms)), measure
+        return top_down, dict(zip(measures, reads))
+
+    def test_random_supports(self):
+        """Ties, near-ties and chains within TOL, both signed zeros, weights of
+        1e-12 and zero, at magnitudes from 1e-12 to 1e12."""
+        rng = random.Random(2500)
+        stopped = 0
+        for _ in range(250):
+            n = rng.randint(1, 90)
+            weights = [rng.choice((0.0, 1e-12, 1e-12, 1.0, rng.uniform(0.2, 1.0))) for _ in range(n)]
+            weights[0] = weights[0] or 1.0
+            magnitude = rng.choice(self.MAGNITUDES)
+            if rng.random() < 0.5:
+                env_values = [magnitude * rng.uniform(0.0, 10.0) for _ in range(rng.randint(1, n))]
+            else:
+                env_values = [magnitude * rng.choice((0.0, 0.5, 1.0, 2.5, 7.5)) for _ in range(rng.randint(1, n))]
+            for e in rng.sample(range(len(env_values)), min(len(env_values), rng.randint(0, 6))):
+                env_values[e] = rng.choice((0.0, -0.0, env_values[0] + rng.choice((4e-10, 9e-10, 1e-9, 1.3e-9))))
+            responses = [rng.randrange(len(env_values)) for _ in range(n)]
+            top_down, reads = self.check(weights, env_values, responses)
+            stopped += reads[RiskMeasure.cvar(0.9)] < len(top_down)
+        assert stopped > 120
+
+    def test_all_zero_costs_keep_the_sign_of_the_first_pair(self):
+        rng = random.Random(2501)
+        for _ in range(60):
+            n = rng.randint(1, 12)
+            env_values = [rng.choice((0.0, -0.0)) for _ in range(rng.randint(1, n))]
+            self.check([rng.choice((1e-12, 1.0, 0.5)) for _ in range(n)], env_values, [rng.randrange(len(env_values)) for _ in range(n)])
+
+    def test_cumulative_exactly_alpha(self):
+        # Equal weights and alpha = k/n, as in the flat-minimum test above:
+        # the VaR's running total meets alpha and two support points tie.
+        rng = random.Random(2502)
+        for _ in range(300):
+            n = rng.randint(2, 12)
+            alpha = rng.randint(1, n - 1) / n
+            values = [round(rng.uniform(0.0, 10.0), rng.choice((1, 2, 3, 6))) for _ in range(n)]
+            space = FiniteProbSpace(tuple(f"w{i}" for i in range(n)), {f"w{i}": 1.0 / n for i in range(n)})
+            f = RandomCost(dict(zip(space.scenarios, values)))
+            cvar = assess(RiskMeasure.cvar(alpha), space, f)
+            assert cvar == support_point_cvar(rb.distribution(space, f), alpha)
+            self.check([1.0] * n, values, list(range(n)), [RiskMeasure.var(alpha), RiskMeasure.cvar(alpha)])
+
+    def test_tol_clusters_straddling_the_stop(self):
+        """A few high costs above a long chain of costs spaced under TOL apart,
+        with the tail's edge inside the chain, so the pass stops between two
+        atoms of one cluster the builder merged whole."""
+        rng = random.Random(2503)
+        straddled = 0
+        for _ in range(120):
+            base = rng.choice((1e-3, 0.25, 1.0, 3.0))
+            spacing = rng.choice((0.3, 0.6, 0.9, 1.0)) * rb.TOL
+            chain = [base + k * spacing for k in range(rng.randint(10, 40))]
+            top = [base + rng.uniform(0.5, 5.0) for _ in range(rng.randint(1, 5))]
+            bottom = [rng.choice((0.0, -0.0, base / 2)) for _ in range(rng.randint(0, 4))]
+            env_values = top + chain + bottom
+            weights = [rng.uniform(0.02, 0.1) for _ in top] + [rng.uniform(0.5, 1.0) for _ in chain] + [0.5 for _ in bottom]
+            top_down, reads = self.check(weights, env_values, list(range(len(env_values))))
+            for alpha in (0.5, 0.9):
+                read = reads[RiskMeasure.cvar(alpha)]
+                in_chain = [chain[0] <= v <= chain[-1] for v, _ in top_down]
+                straddled += read < len(top_down) and in_chain[read - 1] and in_chain[read]
+        assert straddled > 150
 
 
 class TestWorstCaseAndExpected:

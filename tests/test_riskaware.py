@@ -23,6 +23,7 @@ from riskbook import (
     tradeoff_witness,
     tradeoff_witnesses,
 )
+from riskbook.probspace import _sum
 
 from instgen import random_instance
 
@@ -541,10 +542,11 @@ class TestOperationCounts:
 
 
 class TestKeptAtoms:
-    """Calls to the atom builder, ``riskaware._atoms``, on the seeded T10/R6
-    instance with four rules reconfigured to worst case, VaR and CVaR, whose
-    risks read atoms, and two left at expected cost, whose risks do not.
-    The compiled instance keeps atoms from its second evaluation on."""
+    """Calls to the atom builder, ``riskaware._atoms``, and the atoms read
+    from it, on the seeded T10/R6 instance with four rules reconfigured to
+    worst case, VaR and CVaR, whose risks read atoms, and two left at
+    expected cost, whose risks do not.  The compiled instance keeps complete
+    atom lists from its second evaluation on."""
 
     RULES, TRAJECTORIES = 6, 10
     OVERRIDES = {
@@ -569,7 +571,12 @@ class TestKeptAtoms:
 
         def counting_atoms(groups, probabilities):
             builds["atoms"] += 1
-            return build(groups, probabilities)
+            return reading(build(groups, probabilities))
+
+        def reading(atoms):
+            for atom in atoms:
+                builds["read"] += 1
+                yield atom
 
         monkeypatch.setattr(riskaware, "_atoms", counting_atoms)
         return builds
@@ -585,12 +592,16 @@ class TestKeptAtoms:
 
     def test_second_report_keeps_at_most_one_list_per_pair(self, instance, builds):
         first = reports.render_rank(reports.run_rank(instance), as_json=True)
+        read_first = builds["read"]
         second = reports.render_rank(reports.run_rank(instance), as_json=True)
         assert second == first
         assert builds["atoms"] == 2 * self.PAIRS
         kept = self.kept(instance)
         assert len(kept) == self.PAIRS <= self.RULES * self.TRAJECTORIES
         assert {instance.rulebook.rule_ids[r] for r, _ in kept} == set(self.OVERRIDES)
+        # The second report reads every atom into the kept lists; the first
+        # read worst case's top atom alone and CVaR only as far as it needed.
+        assert builds["read"] - read_first == sum(map(len, kept.values())) > read_first
 
     REPORTS = {
         "rank": lambda inst: reports.run_rank(inst),
@@ -624,3 +635,60 @@ class TestKeptAtoms:
         assert builds["atoms"] == 2 * self.PAIRS and len(self.kept(copy)) == self.PAIRS
         assert self.kept(instance) == kept
         assert all(self.kept(copy)[key] is not atoms for key, atoms in kept.items())
+
+
+class TestTailReads:
+    """Atoms CVaR reads from the builder in one ``run_rank`` of a seeded
+    T10/R6/S400/E200 instance under ``cvar(0.9)``: ``t0`` violates nothing
+    and every other trajectory draws each violation from a continuous range,
+    so its response groups are its atoms.  The pass stops a little below the
+    tail's edge, about a tenth of the mass from the top."""
+
+    @staticmethod
+    def tail_instance():
+        rng = random.Random(25)
+        scenarios = tuple(f"w{i}" for i in range(400))
+        weights = [rng.uniform(0.2, 1.0) for _ in scenarios]
+        total = _sum(weights)
+        trajectories = tuple(f"t{i}" for i in range(10))
+        envs = tuple(f"e{i}" for i in range(200))
+        rules = tuple(
+            rb.Rule(f"r{i}", {(t, e): 0.0 if t == "t0" else rng.uniform(0.5, 10.0) for t in trajectories for e in envs})
+            for i in range(6)
+        )
+        rule_ids = [rule.id for rule in rules]
+        return rb.Instance(
+            space=rb.FiniteProbSpace(scenarios, {w: x / total for w, x in zip(scenarios, weights)}),
+            trajectories=trajectories,
+            env_trajectories=envs,
+            interaction=rb.InteractionModel({(t, w): rng.choice(envs) for t in trajectories for w in scenarios}),
+            rulebook=rb.Rulebook(rules, rb.build_preorder(rule_ids, list(zip(rule_ids, rule_ids[1:])))),
+            risk_configs={rule_id: rb.RiskConfig(RiskMeasure.cvar(0.9), rng.uniform(0.0, 0.4)) for rule_id in rule_ids},
+        )
+
+    def test_one_rank_reads_under_a_quarter_of_each_continuous_cost(self, monkeypatch):
+        instance = self.tail_instance()
+        reads = []
+        build = riskaware._atoms
+
+        def counting_atoms(groups, probabilities):
+            groups = list(groups)
+            values = sorted(value for value, _, _ in groups)
+            continuous = all(b - a > rb.TOL for a, b in zip(values, values[1:]))
+            reads.append([len(groups), continuous, 0])
+            return reading(build(groups, probabilities), reads[-1])
+
+        def reading(atoms, count):
+            for atom in atoms:
+                count[2] += 1
+                yield atom
+
+        monkeypatch.setattr(riskaware, "_atoms", counting_atoms)
+        report = reports.run_rank(instance)
+        assert report.optimal == report.safe == ("t0",)
+        assert len(reads) == 60
+        continuous = [(groups, read) for groups, is_continuous, read in reads if is_continuous]
+        assert len(continuous) == 54 and min(groups for groups, _ in continuous) > 150
+        assert all(4 * read < groups for groups, read in continuous)
+        # t0's costs are all zero: one atom, whatever the number of groups.
+        assert [read for _, is_continuous, read in reads if not is_continuous] == [1] * 6

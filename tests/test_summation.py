@@ -13,7 +13,7 @@ from operator import add
 
 import riskbook as rb
 from riskbook import FiniteProbSpace, RandomCost, RiskMeasure, exceedance_prob, expectation, risk_of
-from riskbook.risk import _cvar
+from riskbook.risk import assess_support
 
 TEN = tuple(f"s{k}" for k in range(10))
 
@@ -87,7 +87,7 @@ class TestLeftToRightSums:
 
         reference = minimum(lambda terms: reduce(add, terms, 0.0))
         assert reference != minimum(math.fsum), "the data must tell the two summations apart"
-        assert _cvar(atoms, alpha) == reference
+        assert assess_support(RiskMeasure.cvar(alpha), reversed(atoms), len(atoms)) == reference
 
     def test_empty_event_has_float_probability_zero(self):
         probability = exceedance_prob(tenths(), zeros(), ones(), ">")
