@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, wraps
+from functools import cached_property
 from math import inf, isfinite
 from operator import mul
 from types import MappingProxyType
@@ -132,13 +132,13 @@ class Instance:
     instance's own ids, checked by comparing id tuples) are kept by
     reference; a caller's mapping is read pair by pair, once.  Each
     trajectory's scenarios grouped by response are compiled on the first
-    evaluation, and the cost distributions later evaluations build are kept
-    with them (:class:`_Compiled`).  None of this is a field, so equality,
-    :func:`dataclasses.replace`, pickling and deep copies never see it:
-    every copy, including each one
+    evaluation, and the expected costs and cost distributions evaluations
+    derive from these tables are kept with them (:class:`_Compiled`).  None
+    of this is a field, so equality, :func:`dataclasses.replace`, pickling
+    and deep copies never see it: every copy, including each one
     :func:`~riskbook.instances.with_risk_config` makes, is built and
-    validated by this constructor and compiles its own groups when first
-    evaluated.
+    validated by this constructor and compiles its own groups, with stores
+    of its own, when first evaluated.
     """
 
     space: FiniteProbSpace
@@ -231,9 +231,16 @@ class _Compiled:
     alive past its call.  Only worst case, VaR and CVaR read atoms, so the
     store holds at most one list per (rule, trajectory) whose rule uses one
     of them, each with at most one atom per environment trajectory: never
-    more pairs than the instance has violation cells.  Threads that evaluate
-    one instance at once can at worst both build a list, and the two builds
-    are equal.
+    more pairs than the instance has violation cells.  ``expected`` holds
+    the expected cost of rule ``r`` under ``t`` at ``r·T + t`` for T
+    trajectories, ``None`` until some evaluation reads it: one float per
+    (rule, trajectory) whose rule uses expected cost, filled from the first
+    evaluation on, since keeping a float costs no build.  It is kept as
+    summed, so an overflowing sum stays infinite and every evaluation that
+    reads it fails.  Risks of other measures depend on the risk
+    configuration and are not kept here.  Threads that evaluate one instance
+    at once can at worst both build a list or sum a cost, and the two
+    results are equal.
     """
 
     def __init__(self, instance: Instance) -> None:
@@ -247,6 +254,7 @@ class _Compiled:
         self.read_scenarios = [_reader(responses) for responses in self.responses]
         self.read_groups = [_reader(group_envs) for group_envs, _, _ in self.groups]
         self.kept_atoms: dict[tuple[int, int], list[tuple[float, float]]] = {}
+        self.expected: list[float | None] = [None] * (len(self.rows) * len(self.responses))
 
     def _group(self, responses: tuple[int, ...], n_envs: int) -> tuple[list[int], list[list[int]], list[float]]:
         """One bucket pass over the ascending positions, so each group's
@@ -267,19 +275,6 @@ class _Compiled:
         _, positions, totals = self.groups[t]
         values = self.read_groups[t](self.rows[r][t])
         return _atoms(zip(values, positions, totals), self.ascending_probs), len(values)
-
-
-def _once(method):
-    """Memoize an :class:`_Evaluation` method by its arguments, per evaluation."""
-
-    @wraps(method)
-    def memoized(self, *args):
-        key = (method, args)
-        if key not in self._memo:
-            self._memo[key] = method(self, *args)
-        return self._memo[key]
-
-    return memoized
 
 
 class _Evaluation:
@@ -310,20 +305,28 @@ class _Evaluation:
     verdict, and every rationale a report gives for one, reads the one
     comparison of two trajectories' excess profiles, :meth:`comparison`.
 
-    Figures are computed on first use: a question about two trajectories
-    builds and assesses only their induced costs, and a matrix assesses
-    every (rule, trajectory) pair once.  Deciding whether one trajectory is
-    optimal compares it with the others in declaration order and stops at
-    the first that is strictly less risky, so it assesses other trajectories
-    only until it is decided.  That decision itself is not memoized, since no
-    report asks it twice about one trajectory; the comparisons it reads are.
-    The instance's tables are read-only and validated at construction, so
-    nothing here re-checks them.  Atoms do not depend on the risk
-    configurations: an evaluation of an instance evaluated before reads and
-    fills the compiled tables' ``kept_atoms`` with complete lists, and the
-    first evaluation reads the atom builder directly and keeps none.
-    Costs, risks, comparisons and witnesses serve one top-level call and are
-    not kept on the instance, so their memory is released with the call.
+    Figures are computed on first use and held in dense lists, ``None``
+    until computed: ``costs`` and ``risks`` over rules × trajectories,
+    indexed ``r·T + t`` for T trajectories, ``profiles`` over trajectories,
+    and ``comparisons`` and ``compensations`` over ordered pairs, indexed
+    ``a·T + b`` (a comparison is kept for ``a <= b`` and read swapped for
+    ``a > b``).  A question about two trajectories builds and assesses only
+    their induced costs, and a matrix assesses every (rule, trajectory) pair
+    once.  Deciding whether one trajectory is optimal compares it with the
+    others in declaration order and stops at the first that is strictly less
+    risky, so it assesses other trajectories only until it is decided.  That
+    decision itself is not kept, since no report asks it twice about one
+    trajectory; the comparisons it reads are.  The instance's tables are
+    read-only and validated at construction, so nothing here re-checks them.
+
+    What does not depend on the risk configurations is kept with the
+    compiled tables.  Every evaluation reads and fills ``expected``, each
+    expected cost summed once per instance; the finiteness test still runs
+    on each evaluation's read.  An evaluation of an instance evaluated
+    before reads and fills ``kept_atoms`` with complete lists, and the first
+    evaluation reads the atom builder directly and keeps none.  The arrays
+    above serve one top-level call and are not kept on the instance, so
+    their memory is released with the call.
     """
 
     def __init__(self, instance: Instance) -> None:
@@ -335,21 +338,42 @@ class _Evaluation:
         self.trajectories = instance.trajectories
         self.scenarios = instance.space.scenarios
         self.above = instance.rulebook.priority.strictly_above
-        self._memo: dict = {}
+        n = self.n = len(self.trajectories)
+        cells = len(self.rule_ids) * n
+        self.costs: list[tuple[float, ...] | None] = [None] * cells
+        self.risks: list[float | None] = [None] * cells
+        self.profiles: list[dict[str, float] | None] = [None] * n
+        self.comparisons: list[tuple[tuple[str, ...], tuple[str, ...], bool, bool] | None] = [None] * (n * n)
+        self.compensations: list[list[tuple[int, tuple[str, ...], float]] | None] = [None] * (n * n)
 
-    @_once
     def cost(self, r: int, t: int) -> tuple[float, ...]:
         """Induced cost of rule ``r`` under ``t``, in scenario order."""
+        i = r * self.n + t
+        cost = self.costs[i]
+        if cost is None:
+            cost = self.costs[i] = self._build_cost(r, t)
+        return cost
+
+    def _build_cost(self, r: int, t: int) -> tuple[float, ...]:
         return self.compiled.read_scenarios[t](self.compiled.rows[r][t])
 
     def random_cost(self, r: int, t: int) -> RandomCost:
         return RandomCost(dict(zip(self.scenarios, self.cost(r, t))))
 
-    @_once
     def risk(self, r: int, t: int) -> float:
+        i = r * self.n + t
+        risk = self.risks[i]
+        if risk is None:
+            risk = self.risks[i] = self._assess(r, t)
+        return risk
+
+    def _assess(self, r: int, t: int) -> float:
         measure = self.instance.risk_configs[self.rule_ids[r]].measure
         if measure.kind == EXPECTED:
-            value = _sum(map(mul, self.compiled.probs, self.cost(r, t)))
+            kept, i = self.compiled.expected, r * self.n + t
+            value = kept[i]
+            if value is None:
+                value = kept[i] = _sum(map(mul, self.compiled.probs, self.cost(r, t)))
         elif measure.kind == CUSTOM:
             value = assess(measure, self.instance.space, self.random_cost(r, t))
         elif self.kept_atoms is None:
@@ -380,9 +404,11 @@ class _Evaluation:
     def excess(self, r: int, t: int) -> float:
         return max(self.risk(r, t) - self.instance.risk_configs[self.rule_ids[r]].threshold, 0.0)
 
-    @_once
     def profile(self, t: int) -> dict[str, float]:
-        return {rule_id: self.excess(r, t) for r, rule_id in enumerate(self.rule_ids)}
+        profile = self.profiles[t]
+        if profile is None:
+            profile = self.profiles[t] = {rule_id: self.excess(r, t) for r, rule_id in enumerate(self.rule_ids)}
+        return profile
 
     def within_threshold(self, r: int, t: int) -> bool:
         """Whether ``t``'s risk under rule ``r`` stays within the rule's threshold."""
@@ -391,14 +417,19 @@ class _Evaluation:
     def safe(self, t: int) -> bool:
         return all(self.within_threshold(r, t) for r in range(len(self.rule_ids)))
 
-    @_once
     def comparison(self, a: int, b: int) -> tuple[tuple[str, ...], tuple[str, ...], bool, bool]:
         """:func:`~riskbook.rulebook.compare_profiles` of ``a``'s and ``b``'s
         excess profiles in rule order, computed once per unordered pair."""
         if a > b:
             worse_b, worse_a, b_le_a, a_le_b = self.comparison(b, a)
             return worse_a, worse_b, a_le_b, b_le_a
-        return compare_profiles(self.instance.rulebook.priority, self.rule_ids, self.profile(a), self.profile(b))
+        i = a * self.n + b
+        found = self.comparisons[i]
+        if found is None:
+            found = self.comparisons[i] = compare_profiles(
+                self.instance.rulebook.priority, self.rule_ids, self.profile(a), self.profile(b)
+            )
+        return found
 
     def verdict(self, a: int, b: int) -> Verdict:
         """``LOWER`` when ``a`` is strictly less risky than ``b``."""
@@ -417,7 +448,6 @@ class _Evaluation:
     def optimal(self) -> list[int]:
         return [t for t in range(len(self.trajectories)) if self.is_optimal(t)]
 
-    @_once
     def _compensating(self, w: int, c: int) -> list[tuple[int, tuple[str, ...], float]]:
         """Every rule that penalizes challenger ``c`` more than ``w`` on a
         positive-probability scenario set, with that set and its probability.
@@ -433,9 +463,13 @@ class _Evaluation:
     def witnesses(self, w: int, c: int, improving_rule: str) -> list[TradeoffWitness]:
         """The compensations of ``c``'s improvement on ``w`` under
         ``improving_rule`` by rules not strictly lower in priority, in declaration order."""
+        i = w * self.n + c
+        found = self.compensations[i]
+        if found is None:
+            found = self.compensations[i] = self._compensating(w, c)
         return [
             TradeoffWitness(improving_rule, self.rule_ids[r], scenarios, probability)
-            for r, scenarios, probability in self._compensating(w, c)
+            for r, scenarios, probability in found
             if improving_rule not in self.above[self.rule_ids[r]]
         ]
 

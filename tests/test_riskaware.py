@@ -1,7 +1,10 @@
 import dataclasses
 import itertools
+import json
 import random
+import sys
 from collections import Counter
+from math import inf
 
 import pytest
 
@@ -385,9 +388,10 @@ def seeded_instance(n_rules, n_trajectories):
 
 
 class TestOperationCounts:
-    """Counts of induced cost builds and risk assessments, made beneath the
-    evaluation's per-call memo where each one is computed, on a seeded T10/R6
-    instance with four optimal trajectories and many witnessed tradeoffs."""
+    """Counts of induced cost builds and risk assessments, made by the
+    evaluation's builders beneath its per-call arrays where each one is
+    computed, on a seeded T10/R6 instance with four optimal trajectories and
+    many witnessed tradeoffs."""
 
     RULES, TRAJECTORIES = 6, 10
 
@@ -399,7 +403,7 @@ class TestOperationCounts:
     def counts(self, monkeypatch):
         counts = Counter()
         evaluation = riskaware._Evaluation
-        build, assess = evaluation.cost.__wrapped__, evaluation.risk.__wrapped__
+        build, assess = evaluation._build_cost, evaluation._assess
 
         def counting_build(ev, r, t):
             counts[(r, t)] += 1
@@ -410,8 +414,8 @@ class TestOperationCounts:
             counts["assessments"] += 1
             return assess(ev, r, t)
 
-        monkeypatch.setattr(evaluation, "cost", riskaware._once(counting_build))
-        monkeypatch.setattr(evaluation, "risk", riskaware._once(counting_assess))
+        monkeypatch.setattr(evaluation, "_build_cost", counting_build)
+        monkeypatch.setattr(evaluation, "_assess", counting_assess)
         return counts
 
     def test_rank_builds_and_assesses_each_pair_at_most_once(self, instance, counts):
@@ -635,6 +639,111 @@ class TestKeptAtoms:
         assert builds["atoms"] == 2 * self.PAIRS and len(self.kept(copy)) == self.PAIRS
         assert self.kept(instance) == kept
         assert all(self.kept(copy)[key] is not atoms for key, atoms in kept.items())
+
+
+class TestKeptExpected:
+    """Expected costs summed by the evaluation (``riskaware._sum``) on the
+    seeded T10/R6 instance, whose rules all use expected cost.  The compiled
+    instance keeps each (rule, trajectory)'s expected cost from its first
+    evaluation on, at ``r·T + t``."""
+
+    RULES, TRAJECTORIES = 6, 10
+    PAIRS = RULES * TRAJECTORIES
+
+    @pytest.fixture()
+    def instance(self):
+        return seeded_instance(self.RULES, self.TRAJECTORIES)
+
+    @pytest.fixture()
+    def sums(self, monkeypatch):
+        sums = Counter()
+        add = riskaware._sum
+
+        def counting_sum(terms):
+            sums["sums"] += 1
+            return add(terms)
+
+        monkeypatch.setattr(riskaware, "_sum", counting_sum)
+        return sums
+
+    @staticmethod
+    def kept(instance):
+        return instance._compiled.expected
+
+    def test_one_shot_rank_sums_each_pair_once_and_keeps_it(self, instance, sums):
+        report = reports.run_rank(instance)
+        assert sums["sums"] == self.PAIRS
+        rule_ids = instance.rulebook.rule_ids
+        assert self.kept(instance) == [a.risks[rule_id] for rule_id in rule_ids for a in report.assessments]
+
+    def test_first_explain_sums_what_it_reads_and_rank_the_rest(self, instance, sums):
+        reports.run_explain(instance, "t4", "t0")
+        read = sums["sums"]
+        assert 0 < read == self.PAIRS - self.kept(instance).count(None)
+        reports.run_rank(instance)
+        assert sums["sums"] == self.PAIRS and None not in self.kept(instance)
+
+    @pytest.mark.parametrize("second", ["rank", "check", "risk_of", "explain"])
+    def test_later_reports_sum_nothing(self, instance, sums, second):
+        first = reports.render_rank(reports.run_rank(instance), as_json=True)
+        sums.clear()
+        TestKeptAtoms.REPORTS[second](instance)
+        assert reports.render_rank(reports.run_rank(instance), as_json=True) == first
+        assert sums["sums"] == 0
+
+    def test_copy_sums_its_own_and_leaves_the_original(self, instance, sums):
+        reports.run_rank(instance)
+        kept = self.kept(instance)
+        before = list(kept)
+        copy = rb.with_risk_config(instance, "r0", measure="cvar", alpha=0.9)
+        sums.clear()
+        reports.run_rank(copy)
+        # r0's risks now depend on its configuration, so the copy keeps none of them.
+        assert sums["sums"] == self.PAIRS - self.TRAJECTORIES
+        assert self.kept(copy) is not kept
+        assert self.kept(copy) == [None] * self.TRAJECTORIES + before[self.TRAJECTORIES :]
+        assert self.kept(instance) is kept and kept == before
+
+    def test_custom_measure_runs_on_every_evaluation(self, instance, sums):
+        calls = []
+
+        def assessor(space, cost):
+            calls.append(cost)
+            return 0.5
+
+        configs = dict(instance.risk_configs, r0=rb.RiskConfig(RiskMeasure.custom(assessor), 0.0))
+        custom = dataclasses.replace(instance, risk_configs=configs)
+        for n in (1, 2, 3):
+            assert risk_of(custom, "r0", "t3") == 0.5
+            assert len(calls) == n
+        calls.clear()
+        reports.run_rank(custom)
+        reports.run_rank(custom)
+        assert len(calls) == 2 * self.TRAJECTORIES
+        assert self.kept(custom)[: self.TRAJECTORIES] == [None] * self.TRAJECTORIES
+        assert sums["sums"] == self.PAIRS - self.TRAJECTORIES
+
+    def test_overflowing_expected_cost_fails_every_read(self):
+        # The overflow case of test_cli's exit-code tests: only tau4's r2
+        # expected cost is infinite.
+        doc = json.loads(rb.bundled_instance_text())
+        doc["scenarios"][0]["prob"] += 5e-10
+        doc["rules"][1]["violations"]["tau4"] = {"xi1": sys.float_info.max, "xi2": sys.float_info.max}
+        instance = rb.parse_instance(json.dumps(doc))
+        calls = [
+            lambda: reports.run_rank(instance),
+            lambda: reports.run_check(instance),
+            lambda: reports.run_explain(instance, "tau1", "tau2"),
+            lambda: reports.run_explain(instance, "tau2", "tau4"),
+            lambda: risk_of(instance, "r2", "tau4"),
+        ]
+        for _ in range(2):
+            for call in calls:
+                with pytest.raises(rb.ValidationError, match="'r2' under trajectory 'tau4' is inf; risks must be finite"):
+                    call()
+            assert reports.run_explain(instance, "tau2", "tau3").verdict is Verdict.LOWER
+        r2, tau4 = instance.require_rule("r2"), instance.require_trajectory("tau4")
+        assert self.kept(instance)[r2 * len(instance.trajectories) + tau4] == inf
 
 
 class TestTailReads:
