@@ -222,9 +222,9 @@ def run_check(instance: Instance) -> CheckReport:
     trajectory order, naming a counterexample when one fails, and spot checks
     of custom measures.  Structural invariants are settled when the instance
     is built, and its tables cannot change afterwards.  Only transitivity is
-    scanned: comparing a profile with itself finds no rule on either side
-    (``x - x`` is ``0`` or NaN, never beyond the tolerance), so the order is
-    reflexive by construction."""
+    scanned: risks are finite, so each trajectory is equal to itself and the
+    order is reflexive by construction, and a risk that is not finite fails
+    the check as it fails every report that reads it."""
     ev = _Evaluation(instance)
     names = instance.trajectories
     n = range(len(names))

@@ -132,12 +132,12 @@ class Instance:
     instance's own ids, checked by comparing id tuples) are kept by
     reference; a caller's mapping is read pair by pair, once.  Each
     trajectory's scenarios grouped by response are compiled on the first
-    evaluation, and the expected costs and cost distributions evaluations
-    derive from these tables are kept with them (:class:`_Compiled`).  None
-    of this is a field, so equality, :func:`dataclasses.replace`, pickling
-    and deep copies never see it: every copy, including each one
+    evaluation, and the risks of built-in measures that evaluations assess
+    are kept with them (:class:`_Compiled`).  None of this is a field, so
+    equality, :func:`dataclasses.replace`, pickling and deep copies never
+    see it: every copy, including each one
     :func:`~riskbook.instances.with_risk_config` makes, is built and
-    validated by this constructor and compiles its own groups, with stores
+    validated by this constructor and compiles its own groups, with a store
     of its own, when first evaluated.
     """
 
@@ -201,7 +201,7 @@ class Instance:
 
 
 class _Compiled:
-    """The index tables of an instance that no risk configuration changes.
+    """The index tables of an instance, fixed with its risk configurations.
 
     Rules, trajectories, scenarios and environment trajectories are
     addressed by declaration index.  A rule's induced cost depends on the
@@ -221,26 +221,17 @@ class _Compiled:
     group, each in one :func:`operator.itemgetter` call.
 
     :meth:`atoms` yields a rule's atoms under ``t`` from the top down, and
-    builds them only as far as they are read.  ``kept_atoms`` holds every
-    atom of rule ``r``'s induced cost under ``t``, top first, keyed by ``(r,
-    t)``: they depend on these tables alone, so every evaluation of the
-    instance may share them.  It fills from the instance's second
-    evaluation on, which :class:`_Evaluation` tells from whether this object
-    existed before it; the first evaluation reads the builder as far as its
-    measure needs and keeps nothing, so a one-shot report leaves no atom
-    alive past its call.  Only worst case, VaR and CVaR read atoms, so the
-    store holds at most one list per (rule, trajectory) whose rule uses one
-    of them, each with at most one atom per environment trajectory: never
-    more pairs than the instance has violation cells.  ``expected`` holds
-    the expected cost of rule ``r`` under ``t`` at ``r·T + t`` for T
-    trajectories, ``None`` until some evaluation reads it: one float per
-    (rule, trajectory) whose rule uses expected cost, filled from the first
-    evaluation on, since keeping a float costs no build.  It is kept as
-    summed, so an overflowing sum stays infinite and every evaluation that
-    reads it fails.  Risks of other measures depend on the risk
-    configuration and are not kept here.  Threads that evaluate one instance
-    at once can at worst both build a list or sum a cost, and the two
-    results are equal.
+    builds them only as far as they are read.  An instance's risk
+    configurations cannot change, so the risk of rule ``r`` under ``t`` is a
+    constant of the instance for every measure but a custom one, whose
+    callable may answer differently each time.  ``risks`` keeps it at ``r·T
+    + t`` for T trajectories, ``None`` until some evaluation assesses it:
+    one float per (rule, trajectory), filled from the first evaluation on,
+    since keeping a float builds nothing a measure does not read.  It is
+    kept as assessed, so an overflowing expected cost stays infinite and
+    every evaluation that reads it fails.  Threads that evaluate one
+    instance at once can at worst both assess a risk, and the two results
+    are equal.
     """
 
     def __init__(self, instance: Instance) -> None:
@@ -253,8 +244,7 @@ class _Compiled:
         self.groups = [self._group(responses, len(envs)) for responses in self.responses]
         self.read_scenarios = [_reader(responses) for responses in self.responses]
         self.read_groups = [_reader(group_envs) for group_envs, _, _ in self.groups]
-        self.kept_atoms: dict[tuple[int, int], list[tuple[float, float]]] = {}
-        self.expected: list[float | None] = [None] * (len(self.rows) * len(self.responses))
+        self.risks: list[float | None] = [None] * (len(self.rows) * len(self.responses))
 
     def _group(self, responses: tuple[int, ...], n_envs: int) -> tuple[list[int], list[list[int]], list[float]]:
         """One bucket pass over the ascending positions, so each group's
@@ -284,13 +274,13 @@ class _Evaluation:
     evaluation and kept with it) give each trajectory's response-index
     vector and each rule's violation row, both the rows the instance was
     built with (for a parsed instance, the rows of its JSON tables), and
-    each trajectory's scenarios grouped by response.  What depends on the
-    risk configurations is derived here: the cost of rule ``r`` under
-    trajectory ``t`` is the tuple ``row[e]`` over the scenarios' responses
-    ``e``, where ``row`` is ``r``'s violation row for ``t``.  Expected cost
-    sums that list against the probabilities scenario by scenario, in
-    declaration order, and a witness's probability sums its scenarios'
-    probabilities in the same order, both left to right through
+    each trajectory's scenarios grouped by response, and keep each risk of a
+    built-in measure once assessed.  The rest is derived here: the cost of
+    rule ``r`` under trajectory ``t`` is the tuple ``row[e]`` over the
+    scenarios' responses ``e``, where ``row`` is ``r``'s violation row for
+    ``t``.  Expected cost sums that list against the probabilities scenario
+    by scenario, in declaration order, and a witness's probability sums its
+    scenarios' probabilities in the same order, both left to right through
     :mod:`riskbook.probspace`'s helpers, so every interpreter gives the same
     bits.  Worst case, VaR and CVaR read atoms built from ``t``'s response
     groups, so at most one group per environment trajectory, from the top
@@ -300,6 +290,8 @@ class _Evaluation:
     A risk of any measure that is not finite, such as an expected cost that
     overflows, is a :class:`~riskbook.errors.ValidationError` naming the
     rule, the trajectory and the value, so no report prints ``Infinity``.
+    Risks are therefore finite, and a trajectory compares as equal to
+    itself.
 
     Safety under one rule is one test, :meth:`within_threshold`.  Every
     verdict, and every rationale a report gives for one, reads the one
@@ -319,21 +311,17 @@ class _Evaluation:
     trajectory; the comparisons it reads are.  The instance's tables are
     read-only and validated at construction, so nothing here re-checks them.
 
-    What does not depend on the risk configurations is kept with the
-    compiled tables.  Every evaluation reads and fills ``expected``, each
-    expected cost summed once per instance; the finiteness test still runs
-    on each evaluation's read.  An evaluation of an instance evaluated
-    before reads and fills ``kept_atoms`` with complete lists, and the first
-    evaluation reads the atom builder directly and keeps none.  The arrays
-    above serve one top-level call and are not kept on the instance, so
-    their memory is released with the call.
+    Every evaluation reads and fills the compiled tables' ``risks``, so
+    each risk of a built-in measure is assessed once per instance; the
+    finiteness test still runs on each evaluation's read.  A custom measure
+    is assessed on every evaluation.  The other arrays serve one top-level
+    call and are not kept on the instance, so their memory is released with
+    the call.
     """
 
     def __init__(self, instance: Instance) -> None:
         self.instance = instance
-        reused = "_compiled" in vars(instance)
         self.compiled = instance._compiled
-        self.kept_atoms = self.compiled.kept_atoms if reused else None
         self.rule_ids = instance.rulebook.rule_ids
         self.trajectories = instance.trajectories
         self.scenarios = instance.space.scenarios
@@ -369,37 +357,23 @@ class _Evaluation:
 
     def _assess(self, r: int, t: int) -> float:
         measure = self.instance.risk_configs[self.rule_ids[r]].measure
-        if measure.kind == EXPECTED:
-            kept, i = self.compiled.expected, r * self.n + t
+        if measure.kind == CUSTOM:
+            value = assess(measure, self.instance.space, self.random_cost(r, t))
+        else:
+            kept, i = self.compiled.risks, r * self.n + t
             value = kept[i]
             if value is None:
-                value = kept[i] = _sum(map(mul, self.compiled.probs, self.cost(r, t)))
-        elif measure.kind == CUSTOM:
-            value = assess(measure, self.instance.space, self.random_cost(r, t))
-        elif self.kept_atoms is None:
-            value = assess_support(measure, *self.compiled.atoms(r, t))
-        else:
-            atoms = self.atoms(r, t)
-            value = assess_support(measure, atoms, len(atoms))
+                if measure.kind == EXPECTED:
+                    value = _sum(map(mul, self.compiled.probs, self.cost(r, t)))
+                else:
+                    value = assess_support(measure, *self.compiled.atoms(r, t))
+                kept[i] = value
         if not isfinite(value):
             raise ValidationError(
                 f"risk of rule {self.rule_ids[r]!r} under trajectory {self.trajectories[t]!r} is "
                 f"{value!r}; risks must be finite"
             )
         return value
-
-    def atoms(self, r: int, t: int) -> list[tuple[float, float]]:
-        """Every atom of rule ``r``'s cost under ``t``, top first as the
-        compiled tables' builder yields them, kept with the tables unless
-        this is the instance's first evaluation.  Every evaluation reading a
-        kept list shares it, and none changes it."""
-        kept = self.kept_atoms
-        if kept is None:
-            return list(self.compiled.atoms(r, t)[0])
-        atoms = kept.get((r, t))
-        if atoms is None:
-            atoms = kept[(r, t)] = list(self.compiled.atoms(r, t)[0])
-        return atoms
 
     def excess(self, r: int, t: int) -> float:
         return max(self.risk(r, t) - self.instance.risk_configs[self.rule_ids[r]].threshold, 0.0)
@@ -419,7 +393,12 @@ class _Evaluation:
 
     def comparison(self, a: int, b: int) -> tuple[tuple[str, ...], tuple[str, ...], bool, bool]:
         """:func:`~riskbook.rulebook.compare_profiles` of ``a``'s and ``b``'s
-        excess profiles in rule order, computed once per unordered pair."""
+        excess profiles in rule order, computed once per unordered pair of
+        different trajectories.  A trajectory's profile equals itself, once
+        it is read and so found finite."""
+        if a == b:
+            self.profile(a)
+            return (), (), True, True
         if a > b:
             worse_b, worse_a, b_le_a, a_le_b = self.comparison(b, a)
             return worse_a, worse_b, a_le_b, b_le_a

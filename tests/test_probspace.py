@@ -155,6 +155,17 @@ def same_atoms(actual, expected):
     return actual == expected and repr(actual) == repr(expected)
 
 
+def read_kept_risks(instance, references):
+    """The second and third evaluations of ``instance`` give the reprs in
+    ``references``, keyed by (rule, trajectory) index, from the risks the
+    first one kept, with no call to the atom builder."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(riskaware, "_atoms", None)  # a call would raise TypeError
+        for ev in (riskaware._Evaluation(instance) for _ in range(2)):
+            for (r, t), reference in references.items():
+                assert repr(ev.risk(r, t)) == reference
+
+
 class TestGroupedAtoms:
     """The grouped atom builder against the sorted-pairs reference above."""
 
@@ -185,17 +196,17 @@ class TestGroupedAtoms:
                 rb.Rulebook(tuple(rules), rb.build_preorder([r.id for r in rules], [])),
                 {r.id: rb.RiskConfig(measures[i % 3], 0.0) for i, r in enumerate(rules)},
             )
-            # The first evaluation builds atoms, the second keeps them and the third reads them.
-            for ev in (riskaware._Evaluation(instance) for _ in range(3)):
-                for r, rule in enumerate(rules):
-                    for t, trajectory in enumerate(trajectories):
-                        expected = sorted_pairs_atoms(
-                            (rule.violations[(trajectory, instance.interaction.responses[(trajectory, w)])], space.probs[w])
-                            for w in space.scenarios
-                        )
-                        assert same_atoms(ev.atoms(r, t)[::-1], expected)
-                        reference = assess_support(instance.risk_configs[rule.id].measure, expected)
-                        assert repr(ev.risk(r, t)) == repr(reference)
+            ev, references = riskaware._Evaluation(instance), {}
+            for r, rule in enumerate(rules):
+                for t, trajectory in enumerate(trajectories):
+                    expected = sorted_pairs_atoms(
+                        (rule.violations[(trajectory, instance.interaction.responses[(trajectory, w)])], space.probs[w])
+                        for w in space.scenarios
+                    )
+                    assert same_atoms(list(ev.compiled.atoms(r, t)[0])[::-1], expected)
+                    references[(r, t)] = repr(assess_support(instance.risk_configs[rule.id].measure, expected))
+                    assert repr(ev.risk(r, t)) == references[(r, t)]
+            read_kept_risks(instance, references)
 
     # The cases below reach the builder's shortcut for well-separated values
     # and its fallback to the merge, at up to 200 responses and 400 scenarios.
@@ -244,17 +255,17 @@ class TestGroupedAtoms:
             {rule.id: rb.RiskConfig(measures[i % 3], 0.0) for i, rule in enumerate(rules)},
         )
         responses = instance.interaction.responses
-        # The first evaluation builds atoms, the second keeps them and the third reads them.
-        for ev in (riskaware._Evaluation(instance) for _ in range(3)):
-            for r, rule in enumerate(rules):
-                for t, trajectory in enumerate(trajectories):
-                    expected = sorted_pairs_atoms(
-                        (rule.violations[(trajectory, responses[(trajectory, w)])], space.probs[w])
-                        for w in space.scenarios
-                    )
-                    assert same_atoms(ev.atoms(r, t)[::-1], expected)
-                    reference = assess_support(instance.risk_configs[rule.id].measure, expected)
-                    assert repr(ev.risk(r, t)) == repr(reference)
+        ev, references = riskaware._Evaluation(instance), {}
+        for r, rule in enumerate(rules):
+            for t, trajectory in enumerate(trajectories):
+                expected = sorted_pairs_atoms(
+                    (rule.violations[(trajectory, responses[(trajectory, w)])], space.probs[w])
+                    for w in space.scenarios
+                )
+                assert same_atoms(list(ev.compiled.atoms(r, t)[0])[::-1], expected)
+                references[(r, t)] = repr(assess_support(instance.risk_configs[rule.id].measure, expected))
+                assert repr(ev.risk(r, t)) == references[(r, t)]
+        read_kept_risks(instance, references)
 
     @pytest.mark.parametrize("n_scenarios,n_envs", SIZES)
     def test_separated_values(self, n_scenarios, n_envs):

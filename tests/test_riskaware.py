@@ -115,6 +115,14 @@ class TestRiskOf:
         with pytest.raises(rb.ValidationError, match=f"'r3' under trajectory 'tau1' is {value!r}"):
             risk_of(inst, "r3", "tau1")
 
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_risk_fails_the_check_of_one_trajectory(self, value):
+        # The check's only comparison is of the trajectory with itself.
+        inst = build_instance({"w": 1.0}, ("e",), {("t", "w"): "e"}, {"r": {("t", "e"): 1.0}}, [])
+        inst = dataclasses.replace(inst, risk_configs={"r": rb.RiskConfig(RiskMeasure.custom(lambda space, f: value), 0.0)})
+        with pytest.raises(rb.ValidationError, match=f"'r' under trajectory 't' is {value!r}"):
+            reports.run_check(inst)
+
 
 class TestRiskAwareViolation:
     def test_threshold_boundary_is_forgiven(self, av_worst_case):
@@ -463,16 +471,21 @@ class TestOperationCounts:
             return compare(priority, rule_ids, costs_a, costs_b)
 
         monkeypatch.setattr(riskaware, "compare_profiles", counting_compare)
-        pairs = self.TRAJECTORIES * (self.TRAJECTORIES + 1) // 2
+        # A trajectory is equal to itself without a comparison.
+        pairs = self.TRAJECTORIES * (self.TRAJECTORIES - 1) // 2
         reports.run_rank(instance)
         assert sum(compared.values()) == pairs and max(compared.values()) == 1
+        assert all(len(pair) == 2 for pair in compared)
+        compared.clear()
+        reports.run_check(instance)
+        assert sum(compared.values()) == pairs and max(compared.values()) == 1
         # An explain decides the optimality of its two trajectories only: each
-        # side is compared with at most every trajectory, and the two share
-        # their own comparison.
+        # side is compared with at most every other trajectory, and the two
+        # share their own comparison.
         for a, b in itertools.permutations(instance.trajectories, 2):
             compared.clear()
             reports.run_explain(instance, a, b)
-            assert sum(compared.values()) <= 2 * self.TRAJECTORIES - 1
+            assert sum(compared.values()) <= 2 * self.TRAJECTORIES - 3
             assert max(compared.values()) == 1
 
     def test_optimality_is_decided_at_most_once_per_trajectory_per_call(self, instance, monkeypatch):
@@ -545,183 +558,187 @@ class TestOperationCounts:
         assert calls["compare"] == 0
 
 
+KEPT_OVERRIDES = {
+    "r0": dict(measure="worst_case"),
+    "r1": dict(measure="var", alpha=0.8),
+    "r2": dict(measure="cvar", alpha=0.9),
+    "r4": dict(measure="worst_case", threshold=1.0),
+}
+KEPT_TRAJECTORIES = 10
+TAIL_PAIRS = len(KEPT_OVERRIDES) * KEPT_TRAJECTORIES  # (rule, trajectory) pairs whose risk reads atoms
+EXPECTED_PAIRS = 2 * KEPT_TRAJECTORIES  # r3 and r5 keep expected cost
+
+
+@pytest.fixture()
+def kept_instance():
+    """The seeded T10/R6 instance with four rules reconfigured to worst case,
+    VaR and CVaR, whose risks read atoms, and two left at expected cost,
+    whose risks are sums."""
+    instance = seeded_instance(6, KEPT_TRAJECTORIES)
+    for rule_id, override in KEPT_OVERRIDES.items():
+        instance = rb.with_risk_config(instance, rule_id, **override)
+    return instance
+
+
+@pytest.fixture()
+def work(monkeypatch):
+    """Calls to the atom builder (``riskaware._atoms``) as ``atoms`` and to
+    the expected-cost sum (``riskaware._sum``) as ``sums``."""
+    work = Counter()
+    build, add = riskaware._atoms, riskaware._sum
+
+    def counting_atoms(groups, probabilities):
+        work["atoms"] += 1
+        return build(groups, probabilities)
+
+    def counting_sum(terms):
+        work["sums"] += 1
+        return add(terms)
+
+    monkeypatch.setattr(riskaware, "_atoms", counting_atoms)
+    monkeypatch.setattr(riskaware, "_sum", counting_sum)
+    return work
+
+
+def kept(instance):
+    """The compiled instance's kept risks, at ``r·T + t``."""
+    return instance._compiled.risks
+
+
+def printed_risks(report):
+    """A rank report's risks in the kept store's order."""
+    return [a.risks[rule_id] for rule_id in report.rule_ids for a in report.assessments]
+
+
+# Every kind of report, rendered to the text a caller would compare.
+REPORTS = {
+    "rank": lambda inst: reports.render_rank(reports.run_rank(inst), as_json=True),
+    "check": lambda inst: reports.render_check(reports.run_check(inst), as_json=True),
+    "risk": lambda inst: "".join(
+        reports.render_risk_table(reports.run_risk_table(inst, rule_id), as_json=True) for rule_id in inst.rulebook.rule_ids
+    ),
+    "explain": lambda inst: "".join(
+        reports.render_explanation(reports.run_explain(inst, a, b), as_json=True)
+        for a, b in itertools.permutations(inst.trajectories, 2)
+    ),
+    "comparison_matrix": lambda inst: repr(rb.comparison_matrix(inst)),
+    "optimal_set": lambda inst: repr(optimal_set(inst)),
+    "safe_set": lambda inst: repr(rb.safe_set(inst)),
+    "risk_of": lambda inst: repr([risk_of(inst, r, t) for r in inst.rulebook.rule_ids for t in inst.trajectories]),
+}
+
+
 class TestKeptAtoms:
-    """Calls to the atom builder, ``riskaware._atoms``, and the atoms read
-    from it, on the seeded T10/R6 instance with four rules reconfigured to
-    worst case, VaR and CVaR, whose risks read atoms, and two left at
-    expected cost, whose risks do not.  The compiled instance keeps complete
-    atom lists from its second evaluation on."""
+    """Risks that read atoms, kept with the compiled instance: worst case, VaR
+    and CVaR call the atom builder once per (rule, trajectory) and instance,
+    and no atom outlives the assessment that read it."""
 
-    RULES, TRAJECTORIES = 6, 10
-    OVERRIDES = {
-        "r0": dict(measure="worst_case"),
-        "r1": dict(measure="var", alpha=0.8),
-        "r2": dict(measure="cvar", alpha=0.9),
-        "r4": dict(measure="worst_case", threshold=1.0),
-    }
-    PAIRS = len(OVERRIDES) * TRAJECTORIES  # (rule, trajectory) pairs whose risk reads atoms
+    def test_one_shot_report_keeps_no_atoms(self, kept_instance, work):
+        reports.run_rank(kept_instance)
+        assert work["atoms"] == TAIL_PAIRS
+        # The store holds one float per (rule, trajectory) and no atom list.
+        assert all(type(risk) is float for risk in kept(kept_instance))
 
-    @pytest.fixture()
-    def instance(self):
-        instance = seeded_instance(self.RULES, self.TRAJECTORIES)
-        for rule_id, override in self.OVERRIDES.items():
-            instance = rb.with_risk_config(instance, rule_id, **override)
-        return instance
-
-    @pytest.fixture()
-    def builds(self, monkeypatch):
-        builds = Counter()
-        build = riskaware._atoms
-
-        def counting_atoms(groups, probabilities):
-            builds["atoms"] += 1
-            return reading(build(groups, probabilities))
-
-        def reading(atoms):
-            for atom in atoms:
-                builds["read"] += 1
-                yield atom
-
-        monkeypatch.setattr(riskaware, "_atoms", counting_atoms)
-        return builds
-
-    @staticmethod
-    def kept(instance):
-        return instance._compiled.kept_atoms
-
-    def test_one_shot_report_keeps_no_atoms(self, instance, builds):
-        reports.run_rank(instance)
-        assert builds["atoms"] == self.PAIRS
-        assert self.kept(instance) == {}
-
-    def test_second_report_keeps_at_most_one_list_per_pair(self, instance, builds):
-        first = reports.render_rank(reports.run_rank(instance), as_json=True)
-        read_first = builds["read"]
-        second = reports.render_rank(reports.run_rank(instance), as_json=True)
-        assert second == first
-        assert builds["atoms"] == 2 * self.PAIRS
-        kept = self.kept(instance)
-        assert len(kept) == self.PAIRS <= self.RULES * self.TRAJECTORIES
-        assert {instance.rulebook.rule_ids[r] for r, _ in kept} == set(self.OVERRIDES)
-        # The second report reads every atom into the kept lists; the first
-        # read worst case's top atom alone and CVaR only as far as it needed.
-        assert builds["read"] - read_first == sum(map(len, kept.values())) > read_first
-
-    REPORTS = {
-        "rank": lambda inst: reports.run_rank(inst),
-        "check": lambda inst: reports.run_check(inst),
-        "risk": lambda inst: [reports.run_risk_table(inst, rule_id) for rule_id in inst.rulebook.rule_ids],
-        "explain": lambda inst: [reports.run_explain(inst, a, b) for a, b in itertools.permutations(inst.trajectories, 2)],
-        "comparison_matrix": rb.comparison_matrix,
-        "optimal_set": optimal_set,
-        "safe_set": rb.safe_set,
-        "risk_of": lambda inst: [risk_of(inst, r, t) for r in inst.rulebook.rule_ids for t in inst.trajectories],
-    }
+    @pytest.mark.parametrize(
+        "report",
+        [
+            lambda inst: reports.render_rank(reports.run_rank(inst), as_json=True),
+            lambda inst: reports.render_explanation(reports.run_explain(inst, "t1", "t2"), as_json=True),
+        ],
+        ids=["rank", "explain"],
+    )
+    def test_second_report_builds_and_sums_nothing(self, kept_instance, work, report):
+        first = report(kept_instance)
+        work.clear()
+        assert report(kept_instance) == first
+        assert work["atoms"] == work["sums"] == 0
 
     @pytest.mark.parametrize("third", sorted(REPORTS))
     @pytest.mark.parametrize("first,second", [("rank", "rank"), ("rank", "check"), ("check", "rank"), ("check", "check")])
-    def test_third_report_builds_no_atoms(self, instance, builds, first, second, third):
-        self.REPORTS[first](instance)
-        self.REPORTS[second](instance)
-        builds.clear()
-        self.REPORTS[third](instance)
-        assert builds["atoms"] == 0
+    def test_third_report_builds_no_atoms(self, kept_instance, work, first, second, third):
+        REPORTS[first](kept_instance)
+        REPORTS[second](kept_instance)
+        work.clear()
+        REPORTS[third](kept_instance)
+        assert work["atoms"] == work["sums"] == 0
 
-    def test_copy_builds_its_own_atoms(self, instance, builds):
-        reports.run_rank(instance)
-        reports.run_rank(instance)
-        kept = dict(self.kept(instance))
-        copy = rb.with_risk_config(instance, "r0", threshold=0.5)
-        builds.clear()
+    def test_copy_builds_its_own_atoms(self, kept_instance, work):
+        reports.run_rank(kept_instance)
+        before = list(kept(kept_instance))
+        copy = rb.with_risk_config(kept_instance, "r0", threshold=0.5)
+        work.clear()
         reports.run_rank(copy)
-        assert builds["atoms"] == self.PAIRS and self.kept(copy) == {}
+        assert work["atoms"] == TAIL_PAIRS and work["sums"] == EXPECTED_PAIRS
+        # A threshold leaves every risk as it was, yet the copy assesses its own.
+        assert kept(copy) is not kept(kept_instance) and kept(copy) == before
+        assert kept(kept_instance) == before
+        work.clear()
         reports.run_rank(copy)
-        assert builds["atoms"] == 2 * self.PAIRS and len(self.kept(copy)) == self.PAIRS
-        assert self.kept(instance) == kept
-        assert all(self.kept(copy)[key] is not atoms for key, atoms in kept.items())
+        assert work["atoms"] == work["sums"] == 0
 
 
 class TestKeptExpected:
-    """Expected costs summed by the evaluation (``riskaware._sum``) on the
-    seeded T10/R6 instance, whose rules all use expected cost.  The compiled
-    instance keeps each (rule, trajectory)'s expected cost from its first
-    evaluation on, at ``r·T + t``."""
+    """Expected costs, and with them every risk of a built-in measure, kept
+    with the compiled instance at ``r·T + t`` from the first evaluation that
+    reads it, on the fixture :class:`TestKeptAtoms` counts atoms on."""
 
-    RULES, TRAJECTORIES = 6, 10
-    PAIRS = RULES * TRAJECTORIES
+    def test_one_shot_rank_sums_each_pair_once_and_keeps_it(self, kept_instance, work):
+        report = reports.run_rank(kept_instance)
+        assert work["sums"] == EXPECTED_PAIRS and work["atoms"] == TAIL_PAIRS
+        assert kept(kept_instance) == printed_risks(report)
 
-    @pytest.fixture()
-    def instance(self):
-        return seeded_instance(self.RULES, self.TRAJECTORIES)
+    def test_first_explain_sums_what_it_reads_and_rank_the_rest(self, kept_instance, work):
+        # Neither side is optimal, and both are decided before t4 to t9 are
+        # assessed.
+        reports.run_explain(kept_instance, "t1", "t2")
+        filled = len(kept(kept_instance)) - kept(kept_instance).count(None)
+        assert 0 < filled < len(kept(kept_instance))
+        assert work["sums"] + work["atoms"] == filled and work["sums"] > 0 and work["atoms"] > 0
+        report = reports.run_rank(kept_instance)
+        assert work["sums"] == EXPECTED_PAIRS and work["atoms"] == TAIL_PAIRS
+        assert kept(kept_instance) == printed_risks(report)
 
-    @pytest.fixture()
-    def sums(self, monkeypatch):
-        sums = Counter()
-        add = riskaware._sum
+    @pytest.mark.parametrize("second", sorted(REPORTS))
+    def test_later_reports_sum_nothing(self, kept_instance, work, second):
+        first = REPORTS[second](kept_instance)
+        work.clear()
+        assert REPORTS[second](kept_instance) == first
+        assert work["sums"] == work["atoms"] == 0
 
-        def counting_sum(terms):
-            sums["sums"] += 1
-            return add(terms)
-
-        monkeypatch.setattr(riskaware, "_sum", counting_sum)
-        return sums
-
-    @staticmethod
-    def kept(instance):
-        return instance._compiled.expected
-
-    def test_one_shot_rank_sums_each_pair_once_and_keeps_it(self, instance, sums):
-        report = reports.run_rank(instance)
-        assert sums["sums"] == self.PAIRS
-        rule_ids = instance.rulebook.rule_ids
-        assert self.kept(instance) == [a.risks[rule_id] for rule_id in rule_ids for a in report.assessments]
-
-    def test_first_explain_sums_what_it_reads_and_rank_the_rest(self, instance, sums):
-        reports.run_explain(instance, "t4", "t0")
-        read = sums["sums"]
-        assert 0 < read == self.PAIRS - self.kept(instance).count(None)
-        reports.run_rank(instance)
-        assert sums["sums"] == self.PAIRS and None not in self.kept(instance)
-
-    @pytest.mark.parametrize("second", ["rank", "check", "risk_of", "explain"])
-    def test_later_reports_sum_nothing(self, instance, sums, second):
-        first = reports.render_rank(reports.run_rank(instance), as_json=True)
-        sums.clear()
-        TestKeptAtoms.REPORTS[second](instance)
-        assert reports.render_rank(reports.run_rank(instance), as_json=True) == first
-        assert sums["sums"] == 0
-
-    def test_copy_sums_its_own_and_leaves_the_original(self, instance, sums):
-        reports.run_rank(instance)
-        kept = self.kept(instance)
-        before = list(kept)
-        copy = rb.with_risk_config(instance, "r0", measure="cvar", alpha=0.9)
-        sums.clear()
+    def test_copy_sums_its_own_and_leaves_the_original(self, kept_instance, work):
+        reports.run_rank(kept_instance)
+        store = kept(kept_instance)
+        before = list(store)
+        copy = rb.with_risk_config(kept_instance, "r3", measure="cvar", alpha=0.9)
+        work.clear()
         reports.run_rank(copy)
-        # r0's risks now depend on its configuration, so the copy keeps none of them.
-        assert sums["sums"] == self.PAIRS - self.TRAJECTORIES
-        assert self.kept(copy) is not kept
-        assert self.kept(copy) == [None] * self.TRAJECTORIES + before[self.TRAJECTORIES :]
-        assert self.kept(instance) is kept and kept == before
+        # r3 now reads atoms, so the copy sums r5 alone and builds one more rule's atoms.
+        assert work["sums"] == EXPECTED_PAIRS - KEPT_TRAJECTORIES
+        assert work["atoms"] == TAIL_PAIRS + KEPT_TRAJECTORIES
+        r3 = slice(3 * KEPT_TRAJECTORIES, 4 * KEPT_TRAJECTORIES)
+        assert kept(copy) is not store and kept(copy)[r3] != before[r3]
+        assert kept(copy)[: r3.start] + kept(copy)[r3.stop :] == before[: r3.start] + before[r3.stop :]
+        assert kept(kept_instance) is store and store == before
 
-    def test_custom_measure_runs_on_every_evaluation(self, instance, sums):
+    def test_custom_measure_runs_on_every_evaluation(self, kept_instance, work):
         calls = []
 
         def assessor(space, cost):
             calls.append(cost)
             return 0.5
 
-        configs = dict(instance.risk_configs, r0=rb.RiskConfig(RiskMeasure.custom(assessor), 0.0))
-        custom = dataclasses.replace(instance, risk_configs=configs)
+        configs = dict(kept_instance.risk_configs, r0=rb.RiskConfig(RiskMeasure.custom(assessor), 0.0))
+        custom = dataclasses.replace(kept_instance, risk_configs=configs)
         for n in (1, 2, 3):
             assert risk_of(custom, "r0", "t3") == 0.5
             assert len(calls) == n
         calls.clear()
         reports.run_rank(custom)
         reports.run_rank(custom)
-        assert len(calls) == 2 * self.TRAJECTORIES
-        assert self.kept(custom)[: self.TRAJECTORIES] == [None] * self.TRAJECTORIES
-        assert sums["sums"] == self.PAIRS - self.TRAJECTORIES
+        assert len(calls) == 2 * KEPT_TRAJECTORIES
+        assert kept(custom)[:KEPT_TRAJECTORIES] == [None] * KEPT_TRAJECTORIES
+        assert None not in kept(custom)[KEPT_TRAJECTORIES:]
+        assert work["sums"] == EXPECTED_PAIRS and work["atoms"] == TAIL_PAIRS - KEPT_TRAJECTORIES
 
     def test_overflowing_expected_cost_fails_every_read(self):
         # The overflow case of test_cli's exit-code tests: only tau4's r2
@@ -743,7 +760,7 @@ class TestKeptExpected:
                     call()
             assert reports.run_explain(instance, "tau2", "tau3").verdict is Verdict.LOWER
         r2, tau4 = instance.require_rule("r2"), instance.require_trajectory("tau4")
-        assert self.kept(instance)[r2 * len(instance.trajectories) + tau4] == inf
+        assert kept(instance)[r2 * len(instance.trajectories) + tau4] == inf
 
 
 class TestTailReads:
