@@ -21,7 +21,6 @@ rationale they print is the comparison each verdict was read from.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 from .errors import PreconditionViolated
 from .jsonwriter import Written, array, dumps, fields, indent, number, string
@@ -276,26 +275,6 @@ def _witness_phrase(w: TradeoffWitness) -> str:
     )
 
 
-def _witness_phrases() -> Callable[[TradeoffWitness], str]:
-    """:func:`_witness_phrase` for one render call, made once per distinct
-    (compensating rule, scenario tuple, probability): one compensating
-    rule's entry backs the witnesses of every improving rule it outweighs.
-    A zero probability is formatted each time, since ``0.0`` and ``-0.0``
-    are one key but print differently."""
-    made: dict[tuple[str, tuple[str, ...], float], str] = {}
-
-    def phrase(w: TradeoffWitness) -> str:
-        if not w.witness_probability:
-            return _witness_phrase(w)
-        key = (w.compensating_rule, w.witness_scenarios, w.witness_probability)
-        text = made.get(key)
-        if text is None:
-            text = made[key] = _witness_phrase(w)
-        return text
-
-    return phrase
-
-
 _EXPLANATION_KEYS = ("optimal_trajectory", "challenger", "improving_rule", "witnesses")
 _WITNESS_KEYS = ("improving_rule", "compensating_rule", "witness_scenarios", "witness_probability")
 
@@ -397,11 +376,10 @@ def render_rank(report: RankingReport, as_json: bool = False) -> str:
     if report.explanations:
         lines.append("")
         lines.append("tradeoffs behind each optimal trajectory:")
-        phrase = _witness_phrases()
         for e in report.explanations:
             lines.append(
                 f"  {e.challenger} improves on {e.optimal_trajectory} under {e.improving_rule}, but "
-                + "; ".join(map(phrase, e.witnesses))
+                + "; ".join(map(_witness_phrase, e.witnesses))
             )
     return "\n".join(lines) + "\n"
 
@@ -477,11 +455,10 @@ def render_explanation(explanation: Explanation, as_json: bool = False) -> str:
             lines.append(f"  {d.rule_id} (excess {_fmt(d.value)} vs {_fmt(d.other_value)}): {comp}")
     if explanation.tradeoffs:
         lines.append("witnessed tradeoffs:")
-        phrase = _witness_phrases()
         for e in explanation.tradeoffs:
             lines.append(
                 f"  {e.challenger} improves on optimal {e.optimal_trajectory} under {e.improving_rule}: "
-                + "; ".join(map(phrase, e.witnesses))
+                + "; ".join(map(_witness_phrase, e.witnesses))
             )
     return "\n".join(lines) + "\n"
 

@@ -132,13 +132,14 @@ class Instance:
     instance's own ids, checked by comparing id tuples) are kept by
     reference; a caller's mapping is read pair by pair, once.  Each
     trajectory's scenarios grouped by response are compiled on the first
-    evaluation, and the risks of built-in measures that evaluations assess
-    are kept with them (:class:`_Compiled`).  None of this is a field, so
-    equality, :func:`dataclasses.replace`, pickling and deep copies never
-    see it: every copy, including each one
+    evaluation, and every risk that evaluations assess is kept with them
+    (:class:`_Compiled`).  None of this is a field, so equality,
+    :func:`dataclasses.replace`, pickling and deep copies never see it:
+    every copy, including each one
     :func:`~riskbook.instances.with_risk_config` makes, is built and
     validated by this constructor and compiles its own groups, with a store
-    of its own, when first evaluated.
+    of its own, when first evaluated, so it assesses its risks, a custom
+    measure's included, anew.
     """
 
     space: FiniteProbSpace
@@ -223,13 +224,14 @@ class _Compiled:
     :meth:`atoms` yields a rule's atoms under ``t`` from the top down, and
     builds them only as far as they are read.  An instance's risk
     configurations cannot change, so the risk of rule ``r`` under ``t`` is a
-    constant of the instance for every measure but a custom one, whose
-    callable may answer differently each time.  ``risks`` keeps it at ``r·T
-    + t`` for T trajectories, ``None`` until some evaluation assesses it:
-    one float per (rule, trajectory), filled from the first evaluation on,
-    since keeping a float builds nothing a measure does not read.  It is
-    kept as assessed, so an overflowing expected cost stays infinite and
-    every evaluation that reads it fails.  Threads that evaluate one
+    constant of the instance, whatever the measure.  ``risks`` keeps it at
+    ``r·T + t`` for T trajectories, ``None`` until some evaluation assesses
+    it: one float per (rule, trajectory), filled from the first evaluation
+    on, since keeping a float builds nothing a measure does not read.  Only
+    finite risks are kept; one that is not finite stays ``None``, so every
+    read assesses it again and fails.  A custom measure's callable thus runs
+    once per (rule, trajectory) per instance, and must be deterministic,
+    which is also what makes threads safe here: threads that evaluate one
     instance at once can at worst both assess a risk, and the two results
     are equal.
     """
@@ -274,13 +276,13 @@ class _Evaluation:
     evaluation and kept with it) give each trajectory's response-index
     vector and each rule's violation row, both the rows the instance was
     built with (for a parsed instance, the rows of its JSON tables), and
-    each trajectory's scenarios grouped by response, and keep each risk of a
-    built-in measure once assessed.  The rest is derived here: the cost of
-    rule ``r`` under trajectory ``t`` is the tuple ``row[e]`` over the
-    scenarios' responses ``e``, where ``row`` is ``r``'s violation row for
-    ``t``.  Expected cost sums that list against the probabilities scenario
-    by scenario, in declaration order, and a witness's probability sums its
-    scenarios' probabilities in the same order, both left to right through
+    each trajectory's scenarios grouped by response, and keep each risk once
+    assessed.  The rest is derived here: the cost of rule ``r`` under
+    trajectory ``t`` is the tuple ``row[e]`` over the scenarios' responses
+    ``e``, where ``row`` is ``r``'s violation row for ``t``.  Expected cost
+    sums that list against the probabilities scenario by scenario, in
+    declaration order, and a witness's probability sums its scenarios'
+    probabilities in the same order, both left to right through
     :mod:`riskbook.probspace`'s helpers, so every interpreter gives the same
     bits.  Worst case, VaR and CVaR read atoms built from ``t``'s response
     groups, so at most one group per environment trajectory, from the top
@@ -298,8 +300,8 @@ class _Evaluation:
     comparison of two trajectories' excess profiles, :meth:`comparison`.
 
     Figures are computed on first use and held in dense lists, ``None``
-    until computed: ``costs`` and ``risks`` over rules × trajectories,
-    indexed ``r·T + t`` for T trajectories, ``profiles`` over trajectories,
+    until computed: ``costs`` over rules × trajectories, indexed ``r·T + t``
+    for T trajectories like the kept risks, ``profiles`` over trajectories,
     and ``comparisons`` and ``compensations`` over ordered pairs, indexed
     ``a·T + b`` (a comparison is kept for ``a <= b`` and read swapped for
     ``a > b``).  A question about two trajectories builds and assesses only
@@ -311,12 +313,11 @@ class _Evaluation:
     trajectory; the comparisons it reads are.  The instance's tables are
     read-only and validated at construction, so nothing here re-checks them.
 
-    Every evaluation reads and fills the compiled tables' ``risks``, so
-    each risk of a built-in measure is assessed once per instance; the
-    finiteness test still runs on each evaluation's read.  A custom measure
-    is assessed on every evaluation.  The other arrays serve one top-level
-    call and are not kept on the instance, so their memory is released with
-    the call.
+    :meth:`risk` reads the compiled tables' ``risks`` and fills a miss with
+    :meth:`_assess`, which computes a risk under any measure and raises if
+    it is not finite, so each finite risk is assessed once per instance.  The
+    other arrays serve one top-level call and are not kept on the instance,
+    so their memory is released with the call.
     """
 
     def __init__(self, instance: Instance) -> None:
@@ -327,9 +328,7 @@ class _Evaluation:
         self.scenarios = instance.space.scenarios
         self.above = instance.rulebook.priority.strictly_above
         n = self.n = len(self.trajectories)
-        cells = len(self.rule_ids) * n
-        self.costs: list[tuple[float, ...] | None] = [None] * cells
-        self.risks: list[float | None] = [None] * cells
+        self.costs: list[tuple[float, ...] | None] = [None] * (len(self.rule_ids) * n)
         self.profiles: list[dict[str, float] | None] = [None] * n
         self.comparisons: list[tuple[tuple[str, ...], tuple[str, ...], bool, bool] | None] = [None] * (n * n)
         self.compensations: list[list[tuple[int, tuple[str, ...], float]] | None] = [None] * (n * n)
@@ -349,25 +348,20 @@ class _Evaluation:
         return RandomCost(dict(zip(self.scenarios, self.cost(r, t))))
 
     def risk(self, r: int, t: int) -> float:
-        i = r * self.n + t
-        risk = self.risks[i]
+        kept, i = self.compiled.risks, r * self.n + t
+        risk = kept[i]
         if risk is None:
-            risk = self.risks[i] = self._assess(r, t)
+            risk = kept[i] = self._assess(r, t)
         return risk
 
     def _assess(self, r: int, t: int) -> float:
         measure = self.instance.risk_configs[self.rule_ids[r]].measure
         if measure.kind == CUSTOM:
             value = assess(measure, self.instance.space, self.random_cost(r, t))
+        elif measure.kind == EXPECTED:
+            value = _sum(map(mul, self.compiled.probs, self.cost(r, t)))
         else:
-            kept, i = self.compiled.risks, r * self.n + t
-            value = kept[i]
-            if value is None:
-                if measure.kind == EXPECTED:
-                    value = _sum(map(mul, self.compiled.probs, self.cost(r, t)))
-                else:
-                    value = assess_support(measure, *self.compiled.atoms(r, t))
-                kept[i] = value
+            value = assess_support(measure, *self.compiled.atoms(r, t))
         if not isfinite(value):
             raise ValidationError(
                 f"risk of rule {self.rule_ids[r]!r} under trajectory {self.trajectories[t]!r} is "

@@ -4,7 +4,7 @@ import json
 import random
 import sys
 from collections import Counter
-from math import inf
+from math import nan
 
 import pytest
 
@@ -396,10 +396,10 @@ def seeded_instance(n_rules, n_trajectories):
 
 
 class TestOperationCounts:
-    """Counts of induced cost builds and risk assessments, made by the
-    evaluation's builders beneath its per-call arrays where each one is
-    computed, on a seeded T10/R6 instance with four optimal trajectories and
-    many witnessed tradeoffs."""
+    """Counts of induced cost builds, made beneath the evaluation's per-call
+    array, and of risk assessments, made on a miss of the instance's kept
+    risks, so once per (rule, trajectory) per instance, on a seeded T10/R6
+    instance with four optimal trajectories and many witnessed tradeoffs."""
 
     RULES, TRAJECTORIES = 6, 10
 
@@ -444,15 +444,16 @@ class TestOperationCounts:
         assert counts["assessments"] <= self.RULES * self.TRAJECTORIES
         # Deciding that a trajectory is not optimal stops at the first one
         # strictly less risky, so some explain of two such trajectories leaves
-        # other trajectories unassessed.
+        # other trajectories unassessed.  Each explain runs on a copy, whose
+        # store of risks starts empty.
         optimal = optimal_set(instance)
         assessed = []
         for a, b in itertools.permutations(instance.trajectories, 2):
             if a not in optimal and b not in optimal:
                 counts.clear()
-                reports.run_explain(instance, a, b)
+                reports.run_explain(dataclasses.replace(instance), a, b)
                 assessed.append(counts["assessments"])
-        assert min(assessed) < self.RULES * self.TRAJECTORIES
+        assert 0 < min(assessed) < self.RULES * self.TRAJECTORIES
 
     def test_standalone_witness_builds_at_most_two_costs_per_rule(self, instance, counts):
         explanations = reports.run_rank(instance).explanations
@@ -678,9 +679,10 @@ class TestKeptAtoms:
 
 
 class TestKeptExpected:
-    """Expected costs, and with them every risk of a built-in measure, kept
-    with the compiled instance at ``r·T + t`` from the first evaluation that
-    reads it, on the fixture :class:`TestKeptAtoms` counts atoms on."""
+    """Expected costs, and with them every finite risk, a custom measure's
+    included, kept with the compiled instance at ``r·T + t`` from the first
+    evaluation that reads it, on the fixture :class:`TestKeptAtoms` counts
+    atoms on."""
 
     def test_one_shot_rank_sums_each_pair_once_and_keeps_it(self, kept_instance, work):
         report = reports.run_rank(kept_instance)
@@ -720,24 +722,33 @@ class TestKeptExpected:
         assert kept(copy)[: r3.start] + kept(copy)[r3.stop :] == before[: r3.start] + before[r3.stop :]
         assert kept(kept_instance) is store and store == before
 
-    def test_custom_measure_runs_on_every_evaluation(self, kept_instance, work):
+    def test_custom_measure_runs_once_per_instance(self, kept_instance, work):
+        reports.run_rank(kept_instance)
+        reference = list(kept(kept_instance))
         calls = []
 
         def assessor(space, cost):
             calls.append(cost)
-            return 0.5
+            return rb.assess(RiskMeasure.worst_case(), space, cost)
 
         configs = dict(kept_instance.risk_configs, r0=rb.RiskConfig(RiskMeasure.custom(assessor), 0.0))
         custom = dataclasses.replace(kept_instance, risk_configs=configs)
-        for n in (1, 2, 3):
-            assert risk_of(custom, "r0", "t3") == 0.5
-            assert len(calls) == n
+        work.clear()
+        for _ in range(3):
+            assert risk_of(custom, "r0", "t3") == reference[3]  # r0 is rule 0
+        reports.run_rank(custom)
+        reports.run_rank(custom)
+        # Once per (r0, trajectory); r0 under worst case kept the same risks.
+        assert len(calls) == KEPT_TRAJECTORIES
+        assert kept(custom) == reference
+        assert work["sums"] == EXPECTED_PAIRS and work["atoms"] == TAIL_PAIRS - KEPT_TRAJECTORIES
+        # A copy is a new instance with a store of its own, so it runs the callable again.
+        copy = dataclasses.replace(custom)
         calls.clear()
-        reports.run_rank(custom)
-        reports.run_rank(custom)
-        assert len(calls) == 2 * KEPT_TRAJECTORIES
-        assert kept(custom)[:KEPT_TRAJECTORIES] == [None] * KEPT_TRAJECTORIES
-        assert None not in kept(custom)[KEPT_TRAJECTORIES:]
+        work.clear()
+        reports.run_rank(copy)
+        assert len(calls) == KEPT_TRAJECTORIES
+        assert kept(copy) is not kept(custom) and kept(copy) == reference
         assert work["sums"] == EXPECTED_PAIRS and work["atoms"] == TAIL_PAIRS - KEPT_TRAJECTORIES
 
     def test_overflowing_expected_cost_fails_every_read(self):
@@ -759,8 +770,32 @@ class TestKeptExpected:
                 with pytest.raises(rb.ValidationError, match="'r2' under trajectory 'tau4' is inf; risks must be finite"):
                     call()
             assert reports.run_explain(instance, "tau2", "tau3").verdict is Verdict.LOWER
+        # Only finite risks are kept.
         r2, tau4 = instance.require_rule("r2"), instance.require_trajectory("tau4")
-        assert kept(instance)[r2 * len(instance.trajectories) + tau4] == inf
+        assert kept(instance)[r2 * len(instance.trajectories) + tau4] is None
+
+    def test_custom_nan_risk_fails_every_read_and_is_never_kept(self, kept_instance):
+        calls = []
+
+        def assessor(space, cost):
+            calls.append(cost)
+            return nan
+
+        configs = dict(kept_instance.risk_configs, r0=rb.RiskConfig(RiskMeasure.custom(assessor), 0.0))
+        custom = dataclasses.replace(kept_instance, risk_configs=configs)
+        reads = [
+            lambda: risk_of(custom, "r0", "t3"),
+            lambda: reports.run_rank(custom),
+            lambda: reports.run_check(custom),
+            lambda: reports.run_explain(custom, "t1", "t2"),
+        ]
+        for _ in range(2):
+            for read in reads:
+                with pytest.raises(rb.ValidationError, match=r"'r0' under trajectory 't\d' is nan; risks must be finite"):
+                    read()
+        # Each read assesses the first r0 risk it needs anew and fails on it.
+        assert len(calls) == 2 * len(reads)
+        assert kept(custom)[:KEPT_TRAJECTORIES] == [None] * KEPT_TRAJECTORIES
 
 
 class TestTailReads:
