@@ -96,7 +96,7 @@ def run_rank(instance: Instance) -> RankingReport:
             TrajectoryAssessment(
                 ev.trajectories[t],
                 {rule_id: ev.risk(r, t) for r, rule_id in enumerate(ev.rule_ids)},
-                ev.profile(t),
+                dict(ev.profile(t)),
                 ev.safe(t),
             )
             for t in trajectories
@@ -191,7 +191,7 @@ def run_explain(instance: Instance, first: str, second: str) -> Explanation:
         first=first,
         second=second,
         verdict=ev.verdict(a, b),
-        excesses={first: ev.profile(a), second: ev.profile(b)},
+        excesses={first: dict(ev.profile(a)), second: dict(ev.profile(b))},
         first_worse=_disadvantages(ev, a, b),
         second_worse=_disadvantages(ev, b, a),
         tradeoffs=tuple(

@@ -132,14 +132,15 @@ class Instance:
     instance's own ids, checked by comparing id tuples) are kept by
     reference; a caller's mapping is read pair by pair, once.  Each
     trajectory's scenarios grouped by response are compiled on the first
-    evaluation, and every risk that evaluations assess is kept with them
+    evaluation, and every risk that evaluations assess, and every
+    trajectory's excess profile that they build, is kept with them
     (:class:`_Compiled`).  None of this is a field, so equality,
     :func:`dataclasses.replace`, pickling and deep copies never see it:
     every copy, including each one
     :func:`~riskbook.instances.with_risk_config` makes, is built and
-    validated by this constructor and compiles its own groups, with a store
+    validated by this constructor and compiles its own groups, with stores
     of its own, when first evaluated, so it assesses its risks, a custom
-    measure's included, anew.
+    measure's included, and builds its profiles anew.
     """
 
     space: FiniteProbSpace
@@ -234,6 +235,17 @@ class _Compiled:
     which is also what makes threads safe here: threads that evaluate one
     instance at once can at worst both assess a risk, and the two results
     are equal.
+
+    Thresholds are fixed too, so each trajectory's excess profile is a
+    constant of the instance.  ``profiles[t]`` keeps ``t``'s, a dict from
+    rule id to excess in rule order, ``None`` until some evaluation builds
+    it from the kept risks.  A risk that is not finite raises before the
+    dict is stored, so every read of that profile fails again.  Threads can
+    at worst both build a profile, as they can a risk, and the two dicts
+    are equal.  The kept dicts are private to this module and
+    :mod:`riskbook.reports`: every public return value and report field
+    that holds a profile is a new dict, so a caller that writes into one
+    changes no later verdict.
     """
 
     def __init__(self, instance: Instance) -> None:
@@ -247,6 +259,7 @@ class _Compiled:
         self.read_scenarios = [_reader(responses) for responses in self.responses]
         self.read_groups = [_reader(group_envs) for group_envs, _, _ in self.groups]
         self.risks: list[float | None] = [None] * (len(self.rows) * len(self.responses))
+        self.profiles: list[dict[str, float] | None] = [None] * len(self.responses)
 
     def _group(self, responses: tuple[int, ...], n_envs: int) -> tuple[list[int], list[list[int]], list[float]]:
         """One bucket pass over the ascending positions, so each group's
@@ -301,23 +314,27 @@ class _Evaluation:
 
     Figures are computed on first use and held in dense lists, ``None``
     until computed: ``costs`` over rules × trajectories, indexed ``r·T + t``
-    for T trajectories like the kept risks, ``profiles`` over trajectories,
-    and ``comparisons`` and ``compensations`` over ordered pairs, indexed
-    ``a·T + b`` (a comparison is kept for ``a <= b`` and read swapped for
-    ``a > b``).  A question about two trajectories builds and assesses only
-    their induced costs, and a matrix assesses every (rule, trajectory) pair
-    once.  Deciding whether one trajectory is optimal compares it with the
-    others in declaration order and stops at the first that is strictly less
-    risky, so it assesses other trajectories only until it is decided.  That
+    for T trajectories like the kept risks, and ``comparisons`` and
+    ``compensations`` over ordered pairs, indexed ``a·T + b`` (a comparison
+    is kept for ``a <= b`` and read swapped for ``a > b``).  A question
+    about two trajectories builds and assesses only their induced costs,
+    and a matrix assesses every (rule, trajectory) pair once.  Deciding
+    whether one trajectory is optimal compares it with the others in
+    declaration order and stops at the first that is strictly less risky,
+    so it assesses other trajectories only until it is decided.  That
     decision itself is not kept, since no report asks it twice about one
-    trajectory; the comparisons it reads are.  The instance's tables are
-    read-only and validated at construction, so nothing here re-checks them.
+    trajectory; the comparisons it reads are, for the call.  The instance's
+    tables are read-only and validated at construction, so nothing here
+    re-checks them.
 
     :meth:`risk` reads the compiled tables' ``risks`` and fills a miss with
     :meth:`_assess`, which computes a risk under any measure and raises if
-    it is not finite, so each finite risk is assessed once per instance.  The
-    other arrays serve one top-level call and are not kept on the instance,
-    so their memory is released with the call.
+    it is not finite, so each finite risk is assessed once per instance.
+    :meth:`profile` reads and fills the compiled tables' ``profiles`` in the
+    same way, so each trajectory's excess profile is built once per
+    instance and kept there.  Costs, comparisons and compensations serve
+    one top-level call and are not kept on the instance, so their memory is
+    released with the call.
     """
 
     def __init__(self, instance: Instance) -> None:
@@ -329,7 +346,6 @@ class _Evaluation:
         self.above = instance.rulebook.priority.strictly_above
         n = self.n = len(self.trajectories)
         self.costs: list[tuple[float, ...] | None] = [None] * (len(self.rule_ids) * n)
-        self.profiles: list[dict[str, float] | None] = [None] * n
         self.comparisons: list[tuple[tuple[str, ...], tuple[str, ...], bool, bool] | None] = [None] * (n * n)
         self.compensations: list[list[tuple[int, tuple[str, ...], float]] | None] = [None] * (n * n)
 
@@ -373,10 +389,16 @@ class _Evaluation:
         return max(self.risk(r, t) - self.instance.risk_configs[self.rule_ids[r]].threshold, 0.0)
 
     def profile(self, t: int) -> dict[str, float]:
-        profile = self.profiles[t]
+        """``t``'s excess profile, the dict the compiled tables keep: read
+        it here, and hand out a copy."""
+        kept = self.compiled.profiles
+        profile = kept[t]
         if profile is None:
-            profile = self.profiles[t] = {rule_id: self.excess(r, t) for r, rule_id in enumerate(self.rule_ids)}
+            profile = kept[t] = self._build_profile(t)
         return profile
+
+    def _build_profile(self, t: int) -> dict[str, float]:
+        return {rule_id: self.excess(r, t) for r, rule_id in enumerate(self.rule_ids)}
 
     def within_threshold(self, r: int, t: int) -> bool:
         """Whether ``t``'s risk under rule ``r`` stays within the rule's threshold."""
@@ -483,8 +505,8 @@ def safe_set(instance: Instance) -> list[str]:
 
 
 def risk_aware_profile(instance: Instance, trajectory: str) -> dict[str, float]:
-    """Excess-risk value for every rule, keyed by rule id."""
-    return _Evaluation(instance).profile(instance.require_trajectory(trajectory))
+    """Excess-risk value for every rule, keyed by rule id, in a new dict."""
+    return dict(_Evaluation(instance).profile(instance.require_trajectory(trajectory)))
 
 
 def no_riskier_than(instance: Instance, trajectory: str, other: str) -> bool:

@@ -3,6 +3,7 @@ import itertools
 import json
 import random
 import sys
+import threading
 from collections import Counter
 from math import nan
 
@@ -583,10 +584,14 @@ def kept_instance():
 
 @pytest.fixture()
 def work(monkeypatch):
-    """Calls to the atom builder (``riskaware._atoms``) as ``atoms`` and to
-    the expected-cost sum (``riskaware._sum``) as ``sums``."""
+    """Calls to the atom builder (``riskaware._atoms``) as ``atoms``, to the
+    expected-cost sum (``riskaware._sum``) as ``sums``, and misses of the
+    compiled instance's kept risks and profiles as ``assessments`` and
+    ``profiles``."""
     work = Counter()
     build, add = riskaware._atoms, riskaware._sum
+    evaluation = riskaware._Evaluation
+    assess, build_profile = evaluation._assess, evaluation._build_profile
 
     def counting_atoms(groups, probabilities):
         work["atoms"] += 1
@@ -596,14 +601,35 @@ def work(monkeypatch):
         work["sums"] += 1
         return add(terms)
 
+    def counting_assess(ev, r, t):
+        work["assessments"] += 1
+        return assess(ev, r, t)
+
+    def counting_profile(ev, t):
+        work["profiles"] += 1
+        return build_profile(ev, t)
+
     monkeypatch.setattr(riskaware, "_atoms", counting_atoms)
     monkeypatch.setattr(riskaware, "_sum", counting_sum)
+    monkeypatch.setattr(evaluation, "_assess", counting_assess)
+    monkeypatch.setattr(evaluation, "_build_profile", counting_profile)
     return work
+
+
+def built_nothing(work):
+    """Whether the counted calls since ``work`` was last cleared read every
+    risk and profile from the kept stores."""
+    return work["atoms"] == work["sums"] == work["assessments"] == work["profiles"] == 0
 
 
 def kept(instance):
     """The compiled instance's kept risks, at ``r·T + t``."""
     return instance._compiled.risks
+
+
+def kept_profiles(instance):
+    """The compiled instance's kept excess profiles, at ``t``."""
+    return instance._compiled.profiles
 
 
 def printed_risks(report):
@@ -652,7 +678,7 @@ class TestKeptAtoms:
         first = report(kept_instance)
         work.clear()
         assert report(kept_instance) == first
-        assert work["atoms"] == work["sums"] == 0
+        assert built_nothing(work)
 
     @pytest.mark.parametrize("third", sorted(REPORTS))
     @pytest.mark.parametrize("first,second", [("rank", "rank"), ("rank", "check"), ("check", "rank"), ("check", "check")])
@@ -661,7 +687,7 @@ class TestKeptAtoms:
         REPORTS[second](kept_instance)
         work.clear()
         REPORTS[third](kept_instance)
-        assert work["atoms"] == work["sums"] == 0
+        assert built_nothing(work)
 
     def test_copy_builds_its_own_atoms(self, kept_instance, work):
         reports.run_rank(kept_instance)
@@ -673,16 +699,20 @@ class TestKeptAtoms:
         # A threshold leaves every risk as it was, yet the copy assesses its own.
         assert kept(copy) is not kept(kept_instance) and kept(copy) == before
         assert kept(kept_instance) == before
+        # It changes r0's excesses, which the copy keeps in profiles of its own.
+        assert work["profiles"] == KEPT_TRAJECTORIES
+        assert [p["r0"] for p in kept_profiles(copy)] != [p["r0"] for p in kept_profiles(kept_instance)]
         work.clear()
         reports.run_rank(copy)
-        assert work["atoms"] == work["sums"] == 0
+        assert built_nothing(work)
 
 
 class TestKeptExpected:
     """Expected costs, and with them every finite risk, a custom measure's
     included, kept with the compiled instance at ``r·T + t`` from the first
-    evaluation that reads it, on the fixture :class:`TestKeptAtoms` counts
-    atoms on."""
+    evaluation that reads it, and each trajectory's excess profile kept at
+    ``t`` from the first that builds it, on the fixture
+    :class:`TestKeptAtoms` counts atoms on."""
 
     def test_one_shot_rank_sums_each_pair_once_and_keeps_it(self, kept_instance, work):
         report = reports.run_rank(kept_instance)
@@ -705,7 +735,15 @@ class TestKeptExpected:
         first = REPORTS[second](kept_instance)
         work.clear()
         assert REPORTS[second](kept_instance) == first
-        assert work["sums"] == work["atoms"] == 0
+        assert built_nothing(work)
+
+    @pytest.mark.parametrize("report", sorted(REPORTS))
+    def test_reports_after_one_rank_build_no_profile_and_assess_nothing(self, kept_instance, work, report):
+        reports.run_rank(kept_instance)
+        assert work["profiles"] == KEPT_TRAJECTORIES and None not in kept_profiles(kept_instance)
+        work.clear()
+        REPORTS[report](kept_instance)
+        assert built_nothing(work)
 
     def test_copy_sums_its_own_and_leaves_the_original(self, kept_instance, work):
         reports.run_rank(kept_instance)
@@ -770,9 +808,10 @@ class TestKeptExpected:
                 with pytest.raises(rb.ValidationError, match="'r2' under trajectory 'tau4' is inf; risks must be finite"):
                     call()
             assert reports.run_explain(instance, "tau2", "tau3").verdict is Verdict.LOWER
-        # Only finite risks are kept.
+        # Only finite risks are kept, and no profile that reads another.
         r2, tau4 = instance.require_rule("r2"), instance.require_trajectory("tau4")
         assert kept(instance)[r2 * len(instance.trajectories) + tau4] is None
+        assert kept_profiles(instance)[tau4] is None
 
     def test_custom_nan_risk_fails_every_read_and_is_never_kept(self, kept_instance):
         calls = []
@@ -796,6 +835,62 @@ class TestKeptExpected:
         # Each read assesses the first r0 risk it needs anew and fails on it.
         assert len(calls) == 2 * len(reads)
         assert kept(custom)[:KEPT_TRAJECTORIES] == [None] * KEPT_TRAJECTORIES
+        assert kept_profiles(custom) == [None] * KEPT_TRAJECTORIES
+
+    def test_threads_sharing_one_instance_render_what_one_thread_renders(self):
+        names = ("explain", "rank", "check", "explain")
+        reference = seeded_instance(6, KEPT_TRAJECTORIES)
+        expected = {name: REPORTS[name](reference) for name in names}
+        shared = seeded_instance(6, KEPT_TRAJECTORIES)
+        rendered, errors = [], []
+
+        def render(name):
+            try:
+                rendered.append((name, REPORTS[name](shared)))
+            except Exception as exc:  # failed below, in the test's own thread
+                errors.append(exc)
+
+        threads = [threading.Thread(target=render, args=(name,)) for name in names]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads) and errors == []
+        assert sorted(rendered) == sorted((name, expected[name]) for name in names)
+        assert kept_profiles(shared) == kept_profiles(reference) and kept(shared) == kept(reference)
+
+
+class TestReturnedExcesses:
+    """Every excess mapping a public call returns is a new dict, never the
+    profile the compiled instance keeps, so a caller that writes into one
+    changes no later report."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [rb.bundled_instance, lambda: seeded_instance(6, KEPT_TRAJECTORIES)],
+        ids=["bundled", "seeded"],
+    )
+    def test_writes_into_returned_excesses_reach_no_later_report(self, make):
+        instance = make()
+
+        def rendered():
+            return [REPORTS[name](instance) for name in ("rank", "check", "explain")], optimal_set(instance)
+
+        before = rendered()
+        returned = [rb.risk_aware_profile(instance, t) for t in instance.trajectories]
+        returned += [a.excesses for a in reports.run_rank(instance).assessments]
+        for a, b in itertools.permutations(instance.trajectories, 2):
+            returned += reports.run_explain(instance, a, b).excesses.values()
+        assert len(returned) == 2 * len(instance.trajectories) ** 2
+        for excesses in returned:
+            for rule_id in excesses:
+                excesses[rule_id] = 1e9
+        assert rendered() == before
 
 
 class TestTailReads:
