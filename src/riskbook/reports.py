@@ -178,10 +178,12 @@ def run_explain(instance: Instance, first: str, second: str) -> Explanation:
     side shows against it.
 
     Only the two sides' optimality is decided, each by comparing it with
-    the other trajectories until one is strictly less risky, so an explain
-    makes at most 2T - 1 profile comparisons for T trajectories and builds
-    and assesses only the induced costs those comparisons read.  The two
-    sides must be different trajectories.
+    the other trajectories until one is strictly less risky.  The two scans
+    of T - 1 trajectories share the sides' own pair, so an explain makes at
+    most 2T - 3 profile comparisons for T trajectories, and builds and
+    assesses only the induced costs those comparisons read.  A pair that
+    any earlier report on the same instance compared is not compared
+    again.  The two sides must be different trajectories.
     """
     a, b = instance.require_trajectory(first), instance.require_trajectory(second)
     if a == b:

@@ -132,15 +132,15 @@ class Instance:
     instance's own ids, checked by comparing id tuples) are kept by
     reference; a caller's mapping is read pair by pair, once.  Each
     trajectory's scenarios grouped by response are compiled on the first
-    evaluation, and every risk that evaluations assess, and every
-    trajectory's excess profile that they build, is kept with them
-    (:class:`_Compiled`).  None of this is a field, so equality,
-    :func:`dataclasses.replace`, pickling and deep copies never see it:
-    every copy, including each one
+    evaluation, and every risk that evaluations assess, every trajectory's
+    excess profile that they build and every pair of profiles that they
+    compare is kept with them (:class:`_Compiled`).  None of this is a
+    field, so equality, :func:`dataclasses.replace`, pickling and deep
+    copies never see it: every copy, including each one
     :func:`~riskbook.instances.with_risk_config` makes, is built and
     validated by this constructor and compiles its own groups, with stores
     of its own, when first evaluated, so it assesses its risks, a custom
-    measure's included, and builds its profiles anew.
+    measure's included, and builds and compares its profiles anew.
     """
 
     space: FiniteProbSpace
@@ -246,6 +246,15 @@ class _Compiled:
     :mod:`riskbook.reports`: every public return value and report field
     that holds a profile is a new dict, so a caller that writes into one
     changes no later verdict.
+
+    Each comparison of two profiles is then a constant of the instance too.
+    ``comparisons`` keeps :func:`~riskbook.rulebook.compare_profiles` of
+    trajectories ``a < b`` at ``a·T + b``, ``None`` until some evaluation
+    compares that pair: a tuple ``(worse_a, worse_b, a_le_b, b_le_a)`` of
+    rule-id tuples and bools, which no caller can write into.  A risk that
+    is not finite raises while a profile is read, before the slot is
+    written, so every read of that pair fails again.  Threads can at worst
+    both compare a pair, and the two tuples are equal.
     """
 
     def __init__(self, instance: Instance) -> None:
@@ -258,8 +267,10 @@ class _Compiled:
         self.groups = [self._group(responses, len(envs)) for responses in self.responses]
         self.read_scenarios = [_reader(responses) for responses in self.responses]
         self.read_groups = [_reader(group_envs) for group_envs, _, _ in self.groups]
-        self.risks: list[float | None] = [None] * (len(self.rows) * len(self.responses))
-        self.profiles: list[dict[str, float] | None] = [None] * len(self.responses)
+        n = len(self.responses)
+        self.risks: list[float | None] = [None] * (len(self.rows) * n)
+        self.profiles: list[dict[str, float] | None] = [None] * n
+        self.comparisons: list[tuple[tuple[str, ...], tuple[str, ...], bool, bool] | None] = [None] * (n * n)
 
     def _group(self, responses: tuple[int, ...], n_envs: int) -> tuple[list[int], list[list[int]], list[float]]:
         """One bucket pass over the ascending positions, so each group's
@@ -289,10 +300,11 @@ class _Evaluation:
     evaluation and kept with it) give each trajectory's response-index
     vector and each rule's violation row, both the rows the instance was
     built with (for a parsed instance, the rows of its JSON tables), and
-    each trajectory's scenarios grouped by response, and keep each risk once
-    assessed.  The rest is derived here: the cost of rule ``r`` under
-    trajectory ``t`` is the tuple ``row[e]`` over the scenarios' responses
-    ``e``, where ``row`` is ``r``'s violation row for ``t``.  Expected cost
+    each trajectory's scenarios grouped by response, and keep each risk,
+    excess profile and comparison once derived.  The rest is derived here:
+    the cost of rule ``r`` under trajectory ``t`` is the tuple ``row[e]``
+    over the scenarios' responses ``e``, where ``row`` is ``r``'s violation
+    row for ``t``.  Expected cost
     sums that list against the probabilities scenario by scenario, in
     declaration order, and a witness's probability sums its scenarios'
     probabilities in the same order, both left to right through
@@ -314,26 +326,30 @@ class _Evaluation:
 
     Figures are computed on first use and held in dense lists, ``None``
     until computed: ``costs`` over rules × trajectories, indexed ``r·T + t``
-    for T trajectories like the kept risks, and ``comparisons`` and
-    ``compensations`` over ordered pairs, indexed ``a·T + b`` (a comparison
-    is kept for ``a <= b`` and read swapped for ``a > b``).  A question
-    about two trajectories builds and assesses only their induced costs,
-    and a matrix assesses every (rule, trajectory) pair once.  Deciding
-    whether one trajectory is optimal compares it with the others in
-    declaration order and stops at the first that is strictly less risky,
-    so it assesses other trajectories only until it is decided.  That
-    decision itself is not kept, since no report asks it twice about one
-    trajectory; the comparisons it reads are, for the call.  The instance's
-    tables are read-only and validated at construction, so nothing here
-    re-checks them.
+    for T trajectories like the kept risks, and ``compensations`` over
+    ordered pairs, indexed ``a·T + b`` like the kept comparisons (a
+    comparison is kept for ``a < b`` and read swapped for ``a > b``).  A
+    question about two trajectories builds and assesses only their induced
+    costs, and a matrix assesses every (rule, trajectory) pair once.
+    Deciding whether one trajectory is optimal compares it with the others
+    in declaration order and stops at the first that is strictly less
+    risky, so it assesses other trajectories only until it is decided.
+    That decision itself is not kept, since no report asks it twice about
+    one trajectory, but the comparisons it reads are kept with the
+    instance, so it calls :func:`~riskbook.rulebook.compare_profiles` only
+    for a pair no earlier evaluation compared.  The instance's tables are
+    read-only and validated at construction, so nothing here re-checks
+    them.
 
     :meth:`risk` reads the compiled tables' ``risks`` and fills a miss with
     :meth:`_assess`, which computes a risk under any measure and raises if
     it is not finite, so each finite risk is assessed once per instance.
-    :meth:`profile` reads and fills the compiled tables' ``profiles`` in the
-    same way, so each trajectory's excess profile is built once per
-    instance and kept there.  Costs, comparisons and compensations serve
-    one top-level call and are not kept on the instance, so their memory is
+    :meth:`profile` and :meth:`comparison` read and fill the compiled
+    tables' ``profiles`` and ``comparisons`` in the same way, so each
+    trajectory's excess profile is built, and each pair of profiles
+    compared, once per instance and kept there.  Costs and compensations
+    serve one top-level call and are not kept on the instance, so their
+    memory, up to T²·R·S scenario ids for a call's witness lists, is
     released with the call.
     """
 
@@ -346,7 +362,7 @@ class _Evaluation:
         self.above = instance.rulebook.priority.strictly_above
         n = self.n = len(self.trajectories)
         self.costs: list[tuple[float, ...] | None] = [None] * (len(self.rule_ids) * n)
-        self.comparisons: list[tuple[tuple[str, ...], tuple[str, ...], bool, bool] | None] = [None] * (n * n)
+        self.comparisons = self.compiled.comparisons
         self.compensations: list[list[tuple[int, tuple[str, ...], float]] | None] = [None] * (n * n)
 
     def cost(self, r: int, t: int) -> tuple[float, ...]:
@@ -409,9 +425,10 @@ class _Evaluation:
 
     def comparison(self, a: int, b: int) -> tuple[tuple[str, ...], tuple[str, ...], bool, bool]:
         """:func:`~riskbook.rulebook.compare_profiles` of ``a``'s and ``b``'s
-        excess profiles in rule order, computed once per unordered pair of
-        different trajectories.  A trajectory's profile equals itself, once
-        it is read and so found finite."""
+        excess profiles in rule order, the tuple the compiled tables keep,
+        computed once per unordered pair of different trajectories and
+        instance.  A trajectory's profile equals itself, once it is read and
+        so found finite."""
         if a == b:
             self.profile(a)
             return (), (), True, True

@@ -473,22 +473,31 @@ class TestOperationCounts:
             return compare(priority, rule_ids, costs_a, costs_b)
 
         monkeypatch.setattr(riskaware, "compare_profiles", counting_compare)
-        # A trajectory is equal to itself without a comparison.
+        # A trajectory is equal to itself without a comparison.  Each report
+        # runs on a copy, whose stores start empty.
         pairs = self.TRAJECTORIES * (self.TRAJECTORIES - 1) // 2
-        reports.run_rank(instance)
+        reports.run_rank(dataclasses.replace(instance))
         assert sum(compared.values()) == pairs and max(compared.values()) == 1
         assert all(len(pair) == 2 for pair in compared)
         compared.clear()
-        reports.run_check(instance)
+        reports.run_check(dataclasses.replace(instance))
         assert sum(compared.values()) == pairs and max(compared.values()) == 1
         # An explain decides the optimality of its two trajectories only: each
         # side is compared with at most every other trajectory, and the two
         # share their own comparison.
         for a, b in itertools.permutations(instance.trajectories, 2):
             compared.clear()
-            reports.run_explain(instance, a, b)
+            reports.run_explain(dataclasses.replace(instance), a, b)
             assert sum(compared.values()) <= 2 * self.TRAJECTORIES - 3
             assert max(compared.values()) == 1
+        # Comparisons are kept with the instance: after one rank, a check and
+        # every explain on the same instance compare nothing.
+        reports.run_rank(instance)
+        compared.clear()
+        reports.run_check(instance)
+        for a, b in itertools.permutations(instance.trajectories, 2):
+            reports.run_explain(instance, a, b)
+        assert not compared
 
     def test_optimality_is_decided_at_most_once_per_trajectory_per_call(self, instance, monkeypatch):
         # ``is_optimal`` keeps no memo: a caller that asked twice about one
@@ -585,11 +594,12 @@ def kept_instance():
 @pytest.fixture()
 def work(monkeypatch):
     """Calls to the atom builder (``riskaware._atoms``) as ``atoms``, to the
-    expected-cost sum (``riskaware._sum``) as ``sums``, and misses of the
-    compiled instance's kept risks and profiles as ``assessments`` and
-    ``profiles``."""
+    expected-cost sum (``riskaware._sum``) as ``sums``, to the profile
+    comparison (``riskaware.compare_profiles``) as ``comparisons``, and
+    misses of the compiled instance's kept risks and profiles as
+    ``assessments`` and ``profiles``."""
     work = Counter()
-    build, add = riskaware._atoms, riskaware._sum
+    build, add, compare = riskaware._atoms, riskaware._sum, riskaware.compare_profiles
     evaluation = riskaware._Evaluation
     assess, build_profile = evaluation._assess, evaluation._build_profile
 
@@ -601,6 +611,10 @@ def work(monkeypatch):
         work["sums"] += 1
         return add(terms)
 
+    def counting_compare(priority, rule_ids, costs_a, costs_b):
+        work["comparisons"] += 1
+        return compare(priority, rule_ids, costs_a, costs_b)
+
     def counting_assess(ev, r, t):
         work["assessments"] += 1
         return assess(ev, r, t)
@@ -611,6 +625,7 @@ def work(monkeypatch):
 
     monkeypatch.setattr(riskaware, "_atoms", counting_atoms)
     monkeypatch.setattr(riskaware, "_sum", counting_sum)
+    monkeypatch.setattr(riskaware, "compare_profiles", counting_compare)
     monkeypatch.setattr(evaluation, "_assess", counting_assess)
     monkeypatch.setattr(evaluation, "_build_profile", counting_profile)
     return work
@@ -618,8 +633,8 @@ def work(monkeypatch):
 
 def built_nothing(work):
     """Whether the counted calls since ``work`` was last cleared read every
-    risk and profile from the kept stores."""
-    return work["atoms"] == work["sums"] == work["assessments"] == work["profiles"] == 0
+    risk, profile and comparison from the kept stores."""
+    return work["atoms"] == work["sums"] == work["assessments"] == work["profiles"] == work["comparisons"] == 0
 
 
 def kept(instance):
@@ -630,6 +645,14 @@ def kept(instance):
 def kept_profiles(instance):
     """The compiled instance's kept excess profiles, at ``t``."""
     return instance._compiled.profiles
+
+
+def kept_comparisons(instance):
+    """The compiled instance's kept profile comparisons of every pair
+    ``a < b``, in that order: the slots at ``a·T + b`` it fills."""
+    n = len(instance.trajectories)
+    store = instance._compiled.comparisons
+    return [store[a * n + b] for a, b in itertools.combinations(range(n), 2)]
 
 
 def printed_risks(report):
@@ -812,6 +835,8 @@ class TestKeptExpected:
         r2, tau4 = instance.require_rule("r2"), instance.require_trajectory("tau4")
         assert kept(instance)[r2 * len(instance.trajectories) + tau4] is None
         assert kept_profiles(instance)[tau4] is None
+        pairs = itertools.combinations(instance.trajectories, 2)
+        assert all(c is None for (a, b), c in zip(pairs, kept_comparisons(instance)) if "tau4" in (a, b))
 
     def test_custom_nan_risk_fails_every_read_and_is_never_kept(self, kept_instance):
         calls = []
@@ -836,6 +861,7 @@ class TestKeptExpected:
         assert len(calls) == 2 * len(reads)
         assert kept(custom)[:KEPT_TRAJECTORIES] == [None] * KEPT_TRAJECTORIES
         assert kept_profiles(custom) == [None] * KEPT_TRAJECTORIES
+        assert set(kept_comparisons(custom)) == {None}
 
     def test_threads_sharing_one_instance_render_what_one_thread_renders(self):
         names = ("explain", "rank", "check", "explain")
@@ -863,6 +889,22 @@ class TestKeptExpected:
         assert not any(thread.is_alive() for thread in threads) and errors == []
         assert sorted(rendered) == sorted((name, expected[name]) for name in names)
         assert kept_profiles(shared) == kept_profiles(reference) and kept(shared) == kept(reference)
+        assert kept_comparisons(shared) == kept_comparisons(reference) and None not in kept_comparisons(shared)
+
+
+class TestKeptComparisons:
+    """Each pair's profile comparison, kept with the compiled instance at
+    ``a·T + b`` for ``a < b`` from the first evaluation that makes it, on
+    the fixture :class:`TestKeptAtoms` counts atoms on."""
+
+    @pytest.mark.parametrize("report", sorted(REPORTS))
+    def test_partly_filled_store_renders_what_an_empty_one_renders(self, kept_instance, report):
+        # Neither side is optimal, so the explain compares only the pairs
+        # its two optimality scans read before each stops.
+        reports.run_explain(kept_instance, "t1", "t2")
+        store = kept_comparisons(kept_instance)
+        assert None in store and any(type(c) is tuple for c in store)
+        assert REPORTS[report](kept_instance) == REPORTS[report](dataclasses.replace(kept_instance))
 
 
 class TestReturnedExcesses:
